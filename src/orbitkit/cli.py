@@ -62,6 +62,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer of at least ``minimum``, for budgets and counts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _read_text(path: str) -> tuple[str, str]:
     """Read a file (or stdin for ``-``) and return (text, digest report line)."""
     if path == "-":
@@ -148,10 +163,11 @@ def cmd_poly_rule(args) -> int:
 
 
 def _tape_str(config, m) -> str:
-    last = config.head
-    if config.tape:
-        last = max(last, config.tape[-1][0])
-    return ",".join(turing.tape_symbol(config, i, m.blank) for i in range(last + 1))
+    tape = config.tape
+    row = [m.blank] * (max(config.head, tape[-1][0] if tape else 0) + 1)
+    for cell, symbol in tape:
+        row[cell] = symbol
+    return ",".join(row)
 
 
 def cmd_tm(args) -> int:
@@ -266,7 +282,7 @@ def _build_parser() -> _Parser:
         sp = life_sub.add_parser(name, help=f"{name} a pattern")
         sp.add_argument("pattern", help="RLE pattern file ('-' for stdin)")
         if name == "run":
-            sp.add_argument("--steps", type=int, default=1, help="generations to advance")
+            sp.add_argument("--steps", type=_at_least(0), default=1, help="generations to advance")
         sp.add_argument("--out", default="-", help="write the evolved RLE here (default stdout)")
         sp.add_argument("--trace", action="store_true", help="print population/bbox per step")
         sp.add_argument("--grid", action="store_true", help="print a #/. grid with its origin")
@@ -282,7 +298,7 @@ def _build_parser() -> _Parser:
         sp = tm_sub.add_parser(name)
         sp.add_argument("machine", help="machine description file ('-' for stdin)")
         sp.add_argument("--input", default="", help="input word (symbols or characters)")
-        sp.add_argument("--budget", type=int, default=10000, help="step budget")
+        sp.add_argument("--budget", type=_at_least(0), default=10000, help="step budget")
         if name == "periodicity":
             sp.add_argument("--algorithm", choices=("hashset", "brent"), default="hashset")
             sp.add_argument("--halt-as-fixed-point", action="store_true",
@@ -301,13 +317,13 @@ def _build_parser() -> _Parser:
                     help="'gol' or a component-map file; repeat for several generators")
     oc.add_argument("--closure", action="store_true",
                     help="force breadth-first closure even for a single map")
-    oc.add_argument("--max-steps", type=int, default=10000, help="singleton cycle budget")
-    oc.add_argument("--max-points", type=int, default=100000, help="closure point budget")
-    oc.add_argument("--max-depth", type=int, default=10000, help="closure depth budget")
+    oc.add_argument("--max-steps", type=_at_least(1), default=10000, help="singleton cycle budget")
+    oc.add_argument("--max-points", type=_at_least(1), default=100000, help="closure point budget")
+    oc.add_argument("--max-depth", type=_at_least(1), default=10000, help="closure depth budget")
     oc.set_defaults(func=cmd_orbit, command="orbit check")
 
     vf = sub.add_parser("verify", help="random differential test of map vs. engine")
-    vf.add_argument("--trials", type=int, default=1000)
+    vf.add_argument("--trials", type=_at_least(0), default=1000)
     vf.add_argument("--size", type=int, default=16)
     vf.add_argument("--density", type=float, default=0.3)
     vf.add_argument("--seed", type=int, default=42)

@@ -13,7 +13,9 @@ expresses.
 
 ``detect_hashset`` stores every visited state; ``detect_brent`` is
 Brent's teleporting-turtle algorithm and keeps O(1) states, at the cost
-of re-walking the sequence to pin down the preperiod.
+of re-walking the sequence to pin down the preperiod.  Stored Turing
+configurations share tape structure with each other, so for them the
+hash-set walk costs O(1) memory per step.
 """
 
 from __future__ import annotations

@@ -111,7 +111,12 @@ class Polynomial:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if terms.keys() <= {()}:  # a constant must hash like the int it equals
+                h = hash(terms.get((), 0))
+            else:
+                h = hash(frozenset(terms.items()))
+            self._hash = h
         return h
 
     def __add__(self, other):

@@ -18,12 +18,18 @@ transition table must be total on (non-halting state, tape symbol);
 rules sourced at a halting state are ignored, since halting states
 absorb.  The head starts on cell 0; moving left from cell 0 leaves the
 head in place (the write and state change still happen).
+
+A :class:`Configuration` keeps its tape as a persistent zipper of shared
+cons cells plus an XOR fingerprint of its non-blank cells, so
+:func:`tm_step` allocates O(1) cells and hashing a configuration costs
+O(1), whatever the tape length.  Successive configurations share all but
+a few cells, so storing every state of a walk costs O(1) memory per state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Configuration",
@@ -69,18 +75,87 @@ class TMDesc:
     reject: str
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Machine state, tape contents, and head position.
+_NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
 
-    ``tape`` is a sorted tuple of (cell, symbol) pairs holding only
-    non-blank cells, so equality and hashing agree with semantic tape
-    equality.
+
+class Configuration:
+    """Machine state, tape contents, and head position; immutable.
+
+    The tape is a zipper of persistent cons lists.  ``_left`` holds cells
+    head-1, ..., 0 (blanks as None), so its length is exactly ``head``;
+    ``_right`` holds cells head, head+1, ... up to the last non-blank cell
+    and never ends in a blank.  Each content thus has one representation,
+    and ``_fp``, the XOR of ``hash((cell, symbol))`` over the non-blank
+    cells, is kept up to date on each write.  A step allocates O(1) cells,
+    ``hash`` costs O(1), and ``==`` is exact: it compares fingerprint,
+    head and state first, then walks both tapes until their tails are
+    shared.
+
+    ``tape`` is the sorted tuple of (cell, symbol) pairs holding only
+    non-blank cells; it is built on demand, in time linear in the tape.
     """
 
-    state: str
-    tape: tuple
-    head: int
+    __slots__ = ("_state", "_head", "_left", "_right", "_fp")
+
+    def __init__(self, state: str, tape: Iterable, head: int):
+        cells = dict(tape)
+        if head < 0:
+            raise TmError(f"head position must be a natural number, got {head}")
+        for cell in cells:
+            if cell < 0:
+                raise TmError(f"tape cell must be a natural number, got {cell}")
+        left = right = _NIL
+        for cell in range(head):
+            left = (cells.get(cell), left)
+        for cell in range(max(cells, default=-1), head - 1, -1):
+            right = (cells.get(cell), right)
+        fp = 0
+        for cell in cells.items():
+            fp ^= hash(cell)
+        self._state, self._head, self._left, self._right, self._fp = state, head, left, right, fp
+
+    @property
+    def state(self) -> str:
+        return self._state
+
+    @property
+    def head(self) -> int:
+        return self._head
+
+    @property
+    def tape(self) -> tuple:
+        symbols = [*_symbols(self._left)][::-1] + [*_symbols(self._right)]
+        return tuple((cell, s) for cell, s in enumerate(symbols) if s is not None)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        if self._fp != other._fp or self._head != other._head or self._state != other._state:
+            return False
+        for a, b in ((self._left, other._left), (self._right, other._right)):
+            while a is not b:
+                if not a or not b or a[0] != b[0]:
+                    return False
+                a, b = a[1], b[1]
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self._state, self._head, self._fp))
+
+    def __repr__(self) -> str:
+        return f"Configuration(state={self._state!r}, tape={self.tape!r}, head={self._head!r})"
+
+
+def _symbols(node: tuple) -> Iterator[Optional[str]]:
+    while node:
+        yield node[0]
+        node = node[1]
+
+
+def _configuration(state: str, head: int, left: tuple, right: tuple, fp: int) -> Configuration:
+    c = Configuration.__new__(Configuration)
+    c._state, c._head, c._left, c._right, c._fp = state, head, left, right, fp
+    return c
 
 
 @dataclass(frozen=True)
@@ -93,15 +168,10 @@ StepOutcome = Union[Configuration, Halted]
 
 def make_config(state: str, tape: Mapping[int, str], head: int, blank: str) -> Configuration:
     """Normalize a tape mapping into a Configuration (blanks dropped)."""
-    if head < 0:
-        raise TmError(f"head position must be a natural number, got {head}")
-    cells = []
-    for cell, symbol in tape.items():
+    for cell in tape:
         if cell < 0:
             raise TmError(f"tape cell must be a natural number, got {cell}")
-        if symbol != blank:
-            cells.append((cell, symbol))
-    return Configuration(state=state, tape=tuple(sorted(cells)), head=head)
+    return Configuration(state, ((c, s) for c, s in tape.items() if s != blank), head)
 
 
 def tape_symbol(config: Configuration, cell: int, blank: str) -> str:
@@ -232,19 +302,30 @@ def initial_config(m: TMDesc, word: Sequence[str]) -> Configuration:
 
 def tm_step(m: TMDesc, c: Configuration) -> StepOutcome:
     """One transition; halting states absorb regardless of tape and head."""
-    if c.state not in m.states:
-        raise TmError(f"corrupt configuration: unknown state '{c.state}'")
-    if c.state == m.accept or c.state == m.reject:
-        return Halted(accepting=c.state == m.accept)
-    read = tape_symbol(c, c.head, m.blank)
-    state, write, move = m.transitions[(c.state, read)]
-    tape = dict(c.tape)
+    if c._state not in m.states:
+        raise TmError(f"corrupt configuration: unknown state '{c._state}'")
+    if c._state == m.accept or c._state == m.reject:
+        return Halted(accepting=c._state == m.accept)
+    head, left, right, fp = c._head, c._left, c._right, c._fp
+    read, rest = right if right else (None, _NIL)
+    state, write, move = m.transitions[(c._state, m.blank if read is None else read)]
     if write == m.blank:
-        tape.pop(c.head, None)
-    else:
-        tape[c.head] = write
-    head = c.head + 1 if move == "R" else max(c.head - 1, 0)
-    return Configuration(state=state, tape=tuple(sorted(tape.items())), head=head)
+        write = None
+    if write != read:
+        if read is not None:
+            fp ^= hash((head, read))
+        if write is not None:
+            fp ^= hash((head, write))
+    if move == "R":
+        return _configuration(state, head + 1, (write, left), rest, fp)
+    if write is not None or rest:
+        rest = (write, rest)
+    if not head:  # the clamp at cell 0
+        return _configuration(state, 0, left, rest, fp)
+    symbol, left = left
+    if symbol is not None or rest:
+        rest = (symbol, rest)
+    return _configuration(state, head - 1, left, rest, fp)
 
 
 def trajectory(m: TMDesc, word: Sequence[str]) -> Iterator[Configuration]:

@@ -1,5 +1,7 @@
 """Shared test data and independent reference implementations."""
 
+from orbitkit.cycles import Exhausted, Periodic, Terminated
+
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
 GLIDER = frozenset({(1, 0), (2, 1), (0, 2), (1, 2), (2, 2)})
@@ -62,3 +64,35 @@ def terminating_step(length):
         return None if n >= length else n + 1
 
     return step
+
+
+def reference_tm_step(m, state, tape, head):
+    """Reference Turing step on a plain dict tape holding only non-blank
+    cells; returns the next (state, tape, head), or None at a halting state.
+    Independent of the zipper tape in ``orbitkit.turing``."""
+    if state in (m.accept, m.reject):
+        return None
+    state, write, move = m.transitions[(state, tape.get(head, m.blank))]
+    tape = dict(tape)
+    if write == m.blank:
+        tape.pop(head, None)
+    else:
+        tape[head] = write
+    return state, tape, head + 1 if move == "R" else max(head - 1, 0)
+
+
+def reference_cycle_verdict(m, word, budget):
+    """Hash-set walk over (state, head, frozenset(tape)) with the budget
+    accounting of ``cycles.detect_hashset``."""
+    state, tape, head = m.start, dict(enumerate(word)), 0
+    seen = {(state, head, frozenset(tape.items())): 0}
+    for used in range(1, budget + 1):
+        nxt = reference_tm_step(m, state, tape, head)
+        if nxt is None:
+            return Terminated(used - 1)
+        state, tape, head = nxt
+        key = (state, head, frozenset(tape.items()))
+        if key in seen:
+            return Periodic(seen[key], used - seen[key])
+        seen[key] = used
+    return Exhausted(budget)

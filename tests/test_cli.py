@@ -8,7 +8,7 @@ from orbitkit.dynamics import SparsePoint
 from orbitkit.polymap import variable
 
 from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE
-from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER
+from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER, WRITER
 
 
 def run_cli(args, capsys):
@@ -108,6 +108,29 @@ def test_tm_run_accept_on_start(tmp_path, capsys):
     assert code == 0
     assert "step=0 state=qa head=0 tape=_" in out
     assert "result=halted verdict=accept steps=0" in out
+
+
+def test_tm_run_prints_every_tape_cell_up_to_head_and_last_symbol(tmp_path, capsys):
+    writer = tmp_path / "writer.tm"
+    writer.write_text(WRITER)
+    code, out, _ = run_cli(["tm", "run", str(writer), "--input", "00"], capsys)
+    assert code == 0
+    assert body(out)[2:] == [
+        "step=0 state=q head=0 tape=0,0",
+        "step=1 state=p head=0 tape=1,0",
+        "step=2 state=qa head=1 tape=1,0",
+        "result=halted verdict=accept steps=2",
+    ]
+    mover = tmp_path / "mover.tm"
+    mover.write_text(RIGHT_MOVER)
+    code, out, _ = run_cli(["tm", "run", str(mover), "--input", "0", "--budget", "2"], capsys)
+    assert code == 0
+    assert body(out)[2:] == [
+        "step=0 state=q head=0 tape=0",
+        "step=1 state=q head=1 tape=0,_",
+        "step=2 state=q head=2 tape=0,_,_",
+        "result=truncated steps=2",
+    ]
 
 
 def test_tm_periodicity_looper(tmp_path, capsys):
@@ -257,3 +280,27 @@ def test_walltime_goes_to_stderr(blinker_file, capsys):
     _, out, err = run_cli(["life", "run", blinker_file], capsys)
     assert "walltime_ms=" in err
     assert "walltime_ms=" not in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tm", "periodicity", "{tm}", "--budget", "-1"],
+        ["tm", "run", "{tm}", "--budget", "-1"],
+        ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--max-steps", "0"],
+        ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--closure", "--max-depth", "0"],
+        ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--closure", "--max-points", "0"],
+        ["life", "run", "{rle}", "--steps", "-1"],
+        ["verify", "--trials", "-1"],
+    ],
+)
+def test_out_of_range_budget_is_usage_error(args, tmp_path, blinker_file, capsys):
+    machine = tmp_path / "mover.tm"
+    machine.write_text(RIGHT_MOVER)
+    argv = [a.format(tm=machine, rle=blinker_file) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert "error: argument --" in err

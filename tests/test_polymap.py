@@ -206,6 +206,14 @@ def test_equality_and_hash_are_value_based():
     assert p == p + Polynomial.zero()
 
 
+def test_constants_hash_like_the_integers_they_equal():
+    for c in (0, 1, 5, -1, 2**70):
+        assert constant(c) == c and hash(constant(c)) == hash(c)
+    assert len({5, constant(5)}) == 1
+    assert {0: "zero"}[Polynomial.zero()] == "zero"
+    assert hash(variable(0) + 5) == hash(5 + variable(0))
+
+
 def test_total_degree():
     assert Polynomial.zero().total_degree() == 0
     assert constant(3).total_degree() == 0

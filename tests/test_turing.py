@@ -1,7 +1,11 @@
+import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from orbitkit.cycles import Exhausted, Periodic, detect_brent, detect_hashset
 from orbitkit.turing import (
     Configuration,
     Halted,
@@ -17,6 +21,8 @@ from orbitkit.turing import (
     tm_step,
     trajectory,
 )
+
+from helpers import reference_cycle_verdict, reference_tm_step
 
 STAY_LEFT_LOOPER = """
 # writes the blank and pushes left forever; the edge clamp pins it in place
@@ -81,6 +87,20 @@ q, _ -> qa, _, R
 p, 0 -> qa, 0, R
 p, 1 -> qa, 1, R
 p, _ -> qa, _, R
+"""
+
+
+RIGHT_WRITER = """
+states: q0 qa qr
+input: 0 1
+tape: 0 1 _
+blank: _
+start: q0
+accept: qa
+reject: qr
+q0, 0 -> q0, 1, R
+q0, 1 -> q0, 1, R
+q0, _ -> q0, 1, R
 """
 
 
@@ -267,3 +287,100 @@ def test_halting_state_rules_are_ignored():
     m = parse_tm(text)
     assert ("qa", "0") not in m.transitions
     assert tm_step(m, make_config("qa", {}, 0, "_")) == Halted(accepting=True)
+
+
+@st.composite
+def machines(draw):
+    """A random machine over {0, 1, _} with 2-4 working states, plus an input word."""
+    states = [f"q{i}" for i in range(draw(st.integers(2, 4)))]
+    # working states are drawn four times as often as each halting state
+    targets = st.sampled_from(states * 4 + ["qa", "qr"])
+    symbols, moves = st.sampled_from("01_"), st.sampled_from("LR")
+    rules = [
+        f"{q}, {s} -> {draw(targets)}, {draw(symbols)}, {draw(moves)}"
+        for q in states
+        for s in "01_"
+    ]
+    text = "\n".join(
+        [f"states: {' '.join(states)} qa qr", "input: 0 1", "tape: 0 1 _", "blank: _",
+         "start: q0", "accept: qa", "reject: qr"] + rules
+    )
+    word = draw(st.lists(st.sampled_from("01"), max_size=6))
+    return parse_tm(text), word
+
+
+@given(machines())
+def test_zipper_step_matches_dict_tape_reference(machine):
+    m, word = machine
+    c = initial_config(m, word)
+    state, tape, head = m.start, dict(enumerate(word)), 0
+    for _ in range(200):
+        nxt = reference_tm_step(m, state, tape, head)
+        out = tm_step(m, c)
+        if nxt is None:
+            assert out == Halted(accepting=state == m.accept)
+            return
+        state, tape, head = nxt
+        c = out
+        assert (c.state, c.head) == (state, head)
+        assert c.tape == tuple(sorted(tape.items()))
+        for cell in range(max([head, *tape]) + 2):
+            assert tape_symbol(c, cell, m.blank) == tape.get(cell, m.blank)
+        same = make_config(state, tape, head, m.blank)
+        assert c == same and hash(c) == hash(same)
+
+
+@given(machines())
+def test_detectors_match_reference_walk(machine):
+    m, word = machine
+    step = step_fn(m)
+    for budget in (5, 37, 400):
+        verdict = reference_cycle_verdict(m, word, budget)
+        assert detect_hashset(step, initial_config(m, word), budget) == verdict
+        brent = detect_brent(step, initial_config(m, word), budget)
+        # Brent re-walks the tail, so a tight budget may run out first
+        assert brent == verdict or (isinstance(verdict, Periodic) and brent == Exhausted(budget))
+        if isinstance(verdict, Periodic):
+            roomy = 8 * (verdict.preperiod + verdict.period) + 8
+            assert detect_brent(step, initial_config(m, word), roomy) == verdict
+
+
+def test_hashset_walk_of_a_right_writer_stores_linear_memory():
+    limit = 32 * 2**20
+    m = parse_tm(RIGHT_WRITER)
+    step = step_fn(m)
+
+    def guarded_step(c):
+        # stop a quadratic walk early instead of letting it fill the machine
+        if tracemalloc.get_traced_memory()[0] > limit:
+            raise MemoryError("traced memory passed the limit")
+        return step(c)
+
+    tracemalloc.start()
+    try:
+        verdict = detect_hashset(guarded_step, initial_config(m, []), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Exhausted(20000)
+    assert peak < limit  # each stored state shares its tape with its predecessor
+
+
+def test_equality_is_exact_even_when_fingerprints_collide():
+    a = make_config("q", {0: "0", 3: "1"}, 1, "_")
+    b = make_config("q", {0: "1", 3: "1"}, 1, "_")
+    b._fp = a._fp
+    assert a != b
+    c = Configuration("q", ((3, "1"), (0, "0")), 1)
+    assert a == c and hash(a) == hash(c)
+    assert repr(c) == "Configuration(state='q', tape=((0, '0'), (3, '1')), head=1)"
+
+
+def test_configuration_is_immutable():
+    c = make_config("q", {0: "0"}, 0, "_")
+    with pytest.raises(AttributeError):
+        c.state = "p"
+    with pytest.raises(AttributeError):
+        c.tape = ()
+    with pytest.raises(AttributeError):
+        c.extra = 1
