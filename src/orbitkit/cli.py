@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import random
 import sys
 import time
@@ -75,6 +74,17 @@ def _at_least(minimum: int):
         return value
 
     return parse
+
+
+def _unit_interval(text: str) -> float:
+    """argparse type: a finite number in [0, 1], for probabilities."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1], got {text}")
+    return value
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -147,16 +157,13 @@ def cmd_poly_rule(args) -> int:
     rule = lifepoly.build_local_rule()
     patterns = lifepoly.life_patterns()
     print("command=poly-rule")
-    for bits in itertools.product((0, 1), repeat=9):
-        if rule.evaluate(bits) != lifepoly.evaluate_pattern_sum(bits):
-            raise InternalCheckError("expanded and un-expanded rule forms disagree")
     if args.expanded:
         print(f"terms={len(rule.terms)}")
         print(f"rule={rule.to_text()}")
     else:
         print(f"summands={len(patterns)}")
         print(f"rule={lifepoly.pattern_sum_text()}")
-    print("truth_table=ok")
+    print("truth_table=ok")  # build_local_rule raises unless all 512 inputs agree
     probe = (0, 1, 1, 1, 0, 0, 0, 0, 0)
     print(f"probe={','.join(map(str, probe))} value={rule.evaluate(probe)}")
     return 0
@@ -324,8 +331,8 @@ def _build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="random differential test of map vs. engine")
     vf.add_argument("--trials", type=_at_least(0), default=1000)
-    vf.add_argument("--size", type=int, default=16)
-    vf.add_argument("--density", type=float, default=0.3)
+    vf.add_argument("--size", type=_at_least(1), default=16)
+    vf.add_argument("--density", type=_unit_interval, default=0.3)
     vf.add_argument("--seed", type=int, default=42)
     vf.add_argument("--corrupt", action="store_true",
                     help="negative control: run with a deliberately broken rule")

@@ -9,7 +9,11 @@ Two map families describe every self-map the toolkit needs:
   the whole coordinate axis through a pairing bijection between quadrant
   cells and coordinate indexes.  Every coordinate is computed by the
   rule, so the rule must send the all-zero neighborhood to 0; that keeps
-  images finitely supported and is checked at construction.
+  images finitely supported and is checked at construction.  On 0/1
+  points the rule takes only 512 inputs, so construction compiles it to
+  a 512-entry table and application reads that table through 9-bit
+  neighborhood masks; points holding any other value are evaluated with
+  the polynomial itself.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -44,6 +48,8 @@ __all__ = [
 # Local rule variables: x0 = center, x1..x8 = NEIGHBOR_OFFSETS in order.
 NEIGHBOR_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 _OFFSETS9 = ((0, 0),) + NEIGHBOR_OFFSETS
+# A live cell sets bit i in the mask of the cell it is neighbor x_i of.
+_SCATTER = tuple((-da, -db, 1 << i) for i, (da, db) in enumerate(_OFFSETS9))
 
 
 class PointParseError(ValueError):
@@ -197,9 +203,17 @@ class GridRuleMap:
     distance 1 of the point's unpaired support (the only cells where the
     result can be nonzero, by the zero-at-zero check); neighbors outside
     the quadrant read as constant 0.
+
+    When every value of the point is 1, each live cell ORs its bit into
+    the 9-bit mask of every cell in its 3x3 block (bit i stands for x_i),
+    and a cell's image is ``table[mask]``.  The table holds the rule's
+    value on all 512 0/1 neighborhoods: each monomial's coefficient sits
+    at the mask of its variables (x^k = x on 0/1 inputs) and a subset-sum
+    transform adds up every monomial a neighborhood switches on.  Any
+    other point takes the generic path, one ``rule.evaluate`` per cell.
     """
 
-    __slots__ = ("_rule", "_pairing", "_cache")
+    __slots__ = ("_rule", "_pairing", "_table")
 
     def __init__(self, rule: Polynomial, pairing: PairingSpec):
         if rule.evaluate({}) != 0:
@@ -209,7 +223,15 @@ class GridRuleMap:
             raise ValueError(f"local rule may only use variables x0..x8, found x{min(high)}")
         self._rule = rule
         self._pairing = pairing
-        self._cache: dict[tuple, int] = {}
+        table = [0] * 512
+        for mono, coeff in rule.terms.items():
+            table[sum(1 << var for var, _ in mono)] += coeff
+        for i in range(9):
+            bit = 1 << i
+            for mask in range(512):
+                if mask & bit:
+                    table[mask] += table[mask ^ bit]
+        self._table = table
 
     @property
     def rule(self) -> Polynomial:
@@ -231,26 +253,28 @@ class GridRuleMap:
                     f"coordinate {idx} is not in the image of pairing '{self._pairing.name}'"
                 ) from exc
             cells[cell] = value
-        candidates = set()
-        for a, b in cells:
-            for da, db in _OFFSETS9:
-                ca, cb = a + da, b + db
-                if ca >= 0 and cb >= 0:
-                    candidates.add((ca, cb))
         out: dict[int, int] = {}
-        cache = self._cache
-        rule = self._rule
-        read = cells.get
-        for a, b in candidates:
-            key = tuple(read((a + da, b + db), 0) for da, db in _OFFSETS9)
-            v = cache.get(key)
-            if v is None:
-                v = rule.evaluate(key)
-                if len(cache) >= 1 << 16:
-                    cache.clear()
-                cache[key] = v
-            if v:
-                out[forward(a, b)] = v
+        if all(v == 1 for v in cells.values()):
+            masks: dict[tuple[int, int], int] = {}
+            get = masks.get
+            for a, b in cells:
+                for da, db, bit in _SCATTER:
+                    key = (a + da, b + db)
+                    masks[key] = get(key, 0) | bit
+            table = self._table
+            for (a, b), mask in masks.items():
+                v = table[mask]
+                if v and a >= 0 and b >= 0:
+                    out[forward(a, b)] = v
+        else:
+            evaluate = self._rule.evaluate
+            read = cells.get
+            candidates = {(a + da, b + db) for a, b in cells for da, db in _OFFSETS9}
+            for a, b in candidates:
+                if a >= 0 and b >= 0:
+                    v = evaluate(tuple(read((a + da, b + db), 0) for da, db in _OFFSETS9))
+                    if v:
+                        out[forward(a, b)] = v
         return SparsePoint(out)
 
     def __repr__(self) -> str:

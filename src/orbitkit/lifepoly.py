@@ -5,9 +5,14 @@ in the next generation, build the degree-9 product of ``x_i`` (live bit)
 and ``1 - x_i`` (dead bit) factors, which is 1 exactly on that pattern
 among 0/1 inputs.  Summing the 140 qualifying products gives one local
 rule polynomial whose value on any 0/1 neighborhood is the center's next
-state.  A pairing bijection between quadrant cells and natural numbers
-then turns grid configurations into finitely supported 0/1 points and a
-grid generation into one application of a :class:`~orbitkit.dynamics.GridRuleMap`.
+state.  Every product is multilinear, so the expanded sum is computed
+without multiplying polynomials: the coefficient of the monomial over
+the variable set S is a subset Moebius transform of the pattern
+indicator, the sum over patterns P with live(P) within S of
+(-1)^|S - live(P)|.  A pairing bijection between quadrant cells and
+natural numbers then turns grid configurations into finitely supported
+0/1 points and a grid generation into one application of a
+:class:`~orbitkit.dynamics.GridRuleMap`.
 
 Variable order is fixed as x0 = center and x1..x8 = the neighbors in
 row-major order (NW N NE W E SW S SE, y growing downward).
@@ -20,7 +25,6 @@ from itertools import product
 from math import isqrt
 from typing import Sequence
 
-from . import life
 from .dynamics import GridRuleMap, PairingSpec, SparsePoint
 from .life import LifeConfig
 from .polymap import Polynomial, constant, variable
@@ -120,12 +124,22 @@ def evaluate_pattern_sum(values: Sequence[int]) -> int:
 def build_local_rule() -> Polynomial:
     """Expanded canonical sum of the 140 pattern indicators.
 
-    Construction cross-checks the expansion against the un-expanded
-    product form on all 512 0/1 neighborhoods.
+    The coefficients come from a subset Moebius transform of the pattern
+    indicator over the 512 variable subsets.  Construction cross-checks
+    the expansion against the un-expanded product form on all 512 0/1
+    neighborhoods.
     """
-    rule = Polynomial.zero()
+    coeffs = [0] * 512
     for bits in life_patterns():
-        rule = rule + pattern_term(bits)
+        coeffs[sum(b << i for i, b in enumerate(bits))] = 1
+    for i in range(9):
+        bit = 1 << i
+        for mask in range(512):
+            if mask & bit:
+                coeffs[mask] -= coeffs[mask ^ bit]
+    rule = Polynomial(
+        (tuple((i, 1) for i in range(9) if mask >> i & 1), c) for mask, c in enumerate(coeffs) if c
+    )
     for bits in product((0, 1), repeat=9):
         if rule.evaluate(bits) != evaluate_pattern_sum(bits):
             raise RuntimeError("expanded local rule disagrees with its pattern sum")
@@ -186,9 +200,9 @@ def build_gol_map() -> GridRuleMap:
 
 
 def quadrant_safe(config: LifeConfig) -> bool:
-    """True when the grid step and the polynomial map provably agree: all
-    live cells sit at coordinates >= 1 (so nothing reads or writes across
-    the quadrant boundary) and the next generation stays in the quadrant."""
-    if not all(x >= 1 and y >= 1 for x, y in config):
-        return False
-    return all(x >= 0 and y >= 0 for x, y in life.step(config))
+    """True when one grid step and one map application provably agree: all
+    live cells sit at coordinates >= 1, so no 3x3 block the step reads or
+    writes crosses the quadrant boundary, and no cell can be born at a
+    negative coordinate.  The claim covers one step only; a pattern that
+    moves toward the boundary can leave the quadrant in later steps."""
+    return all(x >= 1 and y >= 1 for x, y in config)

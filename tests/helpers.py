@@ -1,6 +1,8 @@
 """Shared test data and independent reference implementations."""
 
 from orbitkit.cycles import Exhausted, Periodic, Terminated
+from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
+from orbitkit.lifepoly import pair, unpair
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -96,3 +98,18 @@ def reference_cycle_verdict(m, word, budget):
             return Periodic(seen[key], used - seen[key])
         seen[key] = used
     return Exhausted(budget)
+
+
+def reference_grid_apply(rule, point):
+    """A local rule lifted through Cantor pairing, one ``rule.evaluate``
+    per quadrant cell next to the support; independent of the mask table
+    in ``orbitkit.dynamics``."""
+    cells = {unpair(i): v for i, v in point.items()}
+    offsets = ((0, 0),) + NEIGHBOR_OFFSETS
+    out = {}
+    for a, b in cells:
+        for ca, cb in ((a + da, b + db) for da, db in offsets):
+            if ca >= 0 and cb >= 0:
+                values = tuple(cells.get((ca + da, cb + db), 0) for da, db in offsets)
+                out[pair(ca, cb)] = rule.evaluate(values)
+    return SparsePoint(out)

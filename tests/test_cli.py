@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -304,3 +305,45 @@ def test_out_of_range_budget_is_usage_error(args, tmp_path, blinker_file, capsys
     assert exc.value.code == 1
     assert out == ""
     assert "error: argument --" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--size", "0"],
+        ["verify", "--size", "-2"],
+        ["verify", "--density", "nan"],
+        ["verify", "--density", "inf"],
+        ["verify", "--density", "-0.1"],
+        ["verify", "--density", "1.5"],
+        ["verify", "--density", "dense"],
+    ],
+)
+def test_out_of_range_verify_argument_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert f"error: argument {args[1]}: " in err
+
+
+def test_verify_accepts_the_range_ends(capsys):
+    for args in (["--size", "1", "--density", "0"], ["--size", "1", "--density", "1"]):
+        code, out, _ = run_cli(["verify", "--trials", "3", *args], capsys)
+        assert code == 0
+        assert "failures=0 passes=3" in out
+
+
+# sha256 of the whole stdout; the rule text and report lines are a fixed contract
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ([], "5dfd1df712804a0ce9039e3456dc002e01e7ccd11227db110e296527b73e495d"),
+        (["--expanded"], "27de82d80a7fe5193522d41f7789c2d892444d2cb9a5339b8d6ac58f7a447dbf"),
+    ],
+)
+def test_poly_rule_stdout_bytes_are_pinned(args, digest, capsys):
+    code, out, _ = run_cli(["poly-rule", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

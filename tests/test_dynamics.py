@@ -1,9 +1,12 @@
 import random
+from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbitkit import cli
 from orbitkit.dynamics import (
     NEIGHBOR_OFFSETS,
     FiniteComponentMap,
@@ -17,8 +20,10 @@ from orbitkit.dynamics import (
     iterate,
     parse_point,
 )
-from orbitkit.lifepoly import cantor_pairing, pair, unpair
+from orbitkit.lifepoly import build_local_rule, cantor_pairing, pair, unpair
 from orbitkit.polymap import Polynomial, constant, variable
+
+from helpers import reference_grid_apply
 
 points = st.dictionaries(
     st.integers(0, 30), st.integers(-9, 9).filter(bool), max_size=6
@@ -136,6 +141,19 @@ def test_grid_rule_malformed_point():
         m.apply(SparsePoint({3: 1}))
 
 
+@pytest.mark.parametrize("value", [2, -1])
+def test_grid_rule_malformed_point_on_the_generic_path(value):
+    def small_inverse(n):
+        if n > 10:
+            raise ValueError("outside the image")
+        return unpair(n)
+
+    m = GridRuleMap(variable(0), PairingSpec(name="small", forward=pair, inverse=small_inverse))
+    assert m.apply(SparsePoint({4: value})) == SparsePoint({4: value})
+    with pytest.raises(MalformedPointError):
+        m.apply(SparsePoint({4: value, 11: 1}))
+
+
 def test_grid_rule_shift():
     # rule x1 copies the NW neighbor, so the support translates by (+1, +1)
     m = GridRuleMap(variable(1), cantor_pairing())
@@ -202,3 +220,68 @@ def test_symbolic_composition_matches_numeric_double_apply():
         for _ in range(50):
             x = SparsePoint({c: rng.randint(-3, 3) for c in range(3) if rng.random() < 0.8})
             assert iterate(f, x, 2) == ff.apply(x)
+
+
+# Cells on row and column 0 included: their off-quadrant neighbors read as 0.
+binary_points = st.frozensets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30).map(
+    lambda cells: SparsePoint({pair(a, b): 1 for a, b in cells})
+)
+mixed_points = (
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        st.sampled_from((1, 1, 2, -1)),
+        min_size=1,
+        max_size=20,
+    )
+    .filter(lambda cells: any(v != 1 for v in cells.values()))
+    .map(lambda cells: SparsePoint({pair(a, b): v for (a, b), v in cells.items()}))
+)
+# zero at zero: no constant monomial
+random_rules = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, 8), st.integers(1, 3), min_size=1, max_size=4).map(
+            lambda exps: tuple(exps.items())
+        ),
+        st.integers(-3, 3).filter(bool),
+    ),
+    max_size=8,
+).map(Polynomial)
+
+NAMED_RULES = {"life": build_local_rule, "corrupt": lru_cache(maxsize=1)(cli._corrupted_rule)}
+
+
+def _counting_evaluate():
+    return mock.patch.object(Polynomial, "evaluate", autospec=True, side_effect=Polynomial.evaluate)
+
+
+def _check_against_reference(rule, x, *, table_path):
+    m = GridRuleMap(rule, cantor_pairing())
+    with _counting_evaluate() as evaluate:
+        got = m.apply(x)
+    assert got == reference_grid_apply(rule, x)
+    if table_path:
+        assert evaluate.call_count == 0
+    else:
+        assert evaluate.call_count > 0
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_RULES))
+@given(x=binary_points)
+def test_compiled_rule_matches_reference_on_binary_points(name, x):
+    _check_against_reference(NAMED_RULES[name](), x, table_path=True)
+
+
+@given(rule=random_rules, x=binary_points)
+def test_compiled_random_rule_matches_reference_on_binary_points(rule, x):
+    _check_against_reference(rule, x, table_path=True)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_RULES))
+@given(x=mixed_points)
+def test_points_off_the_cube_take_the_generic_path(name, x):
+    _check_against_reference(NAMED_RULES[name](), x, table_path=False)
+
+
+@given(rule=random_rules, x=mixed_points)
+def test_random_rule_off_the_cube_takes_the_generic_path(rule, x):
+    _check_against_reference(rule, x, table_path=False)

@@ -24,7 +24,7 @@ from orbitkit.lifepoly import (
     quadrant_safe,
     unpair,
 )
-from orbitkit.polymap import constant, variable
+from orbitkit.polymap import Polynomial, constant, variable
 
 from helpers import BLINKER, BLOCK, TOAD
 
@@ -116,6 +116,46 @@ def test_expanded_and_pattern_sum_forms_agree():
     for _ in range(20):
         values = tuple(rng.randint(-3, 3) for _ in range(9))
         assert rule.evaluate(values) == evaluate_pattern_sum(values)
+
+
+def test_moebius_rule_equals_the_sum_of_pattern_products():
+    expected = Polynomial.zero()
+    for bits in life_patterns():
+        expected = expected + pattern_term(bits)
+    assert dict(build_local_rule().terms) == dict(expected.terms)
+
+
+def _count_calls(monkeypatch, cls, *names):
+    calls = []
+    for name in names:
+        def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_fresh_rule_build_multiplies_no_polynomials(monkeypatch):
+    build_gol_map.cache_clear()
+    build_local_rule.cache_clear()
+    calls = _count_calls(monkeypatch, Polynomial, "__mul__", "__rmul__")
+    try:
+        rule = build_local_rule()
+    finally:
+        build_local_rule.cache_clear()
+        build_gol_map.cache_clear()
+    assert calls == []
+    assert len(rule.terms) == 466
+
+
+def test_gol_map_apply_on_a_soup_evaluates_no_polynomial(monkeypatch):
+    phi = build_gol_map()
+    soup = life.random_soup(random.Random(15), 16, 0.3, origin=(1, 1))
+    calls = _count_calls(monkeypatch, Polynomial, "evaluate")
+    image = phi.apply(encode(soup))
+    assert calls == []
+    assert decode(image) == life.step(soup)
 
 
 def test_pattern_product_text():
@@ -218,6 +258,13 @@ def test_quadrant_safe():
     assert not quadrant_safe(at_edge)
     assert quadrant_safe(life.translate(BLINKER, 2, 2))
     assert quadrant_safe(frozenset())
+
+
+@given(st.frozensets(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=40))
+def test_cells_off_the_boundary_step_inside_the_quadrant(config):
+    # why quadrant_safe need not run the step: births happen only next to live cells
+    assert quadrant_safe(config)
+    assert all(x >= 0 and y >= 0 for x, y in life.step(config))
 
 
 def test_commuting_square_on_random_soups():
