@@ -42,6 +42,7 @@ class InternalCheckError(RuntimeError):
 
 _INPUT_ERRORS = (
     OSError,
+    UnicodeError,  # input bytes that are not valid UTF-8
     CliInputError,
     PolyParseError,
     dynamics.PointParseError,
@@ -251,18 +252,16 @@ def cmd_orbit(args) -> int:
 
 def _corrupted_rule():
     # negative control: forget every survival-on-2 pattern
-    rule = lifepoly.build_local_rule()
-    for bits in lifepoly.life_patterns():
-        if bits[0] == 1 and sum(bits[1:]) == 2:
-            rule = rule - lifepoly.pattern_term(bits)
-    return rule
+    return lifepoly.expand_patterns(
+        bits for bits in lifepoly.life_patterns() if not (bits[0] == 1 and sum(bits[1:]) == 2)
+    )
 
 
 def cmd_verify(args) -> int:
     print(f"command={args.command}")
     print(f"trials={args.trials} size={args.size} density={args.density} seed={args.seed}")
-    rule = _corrupted_rule() if args.corrupt else lifepoly.build_local_rule()
-    gol = GridRuleMap(rule, lifepoly.cantor_pairing())
+    gol = (GridRuleMap(_corrupted_rule(), lifepoly.cantor_pairing()) if args.corrupt
+           else lifepoly.build_gol_map())
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.trials):

@@ -13,7 +13,9 @@ Two map families describe every self-map the toolkit needs:
   points the rule takes only 512 inputs, so construction compiles it to
   a 512-entry table and application reads that table through 9-bit
   neighborhood masks; points holding any other value are evaluated with
-  the polynomial itself.
+  the polynomial itself.  This module owns the mask convention (bit i
+  stands for x_i) and :func:`subset_transform`, which
+  :mod:`orbitkit.lifepoly` also runs to expand pattern sets into rules.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -41,6 +43,7 @@ __all__ = [
     "emit_point",
     "iterate",
     "parse_point",
+    "subset_transform",
 ]
 
 # Offsets of the eight neighbors of a planar cell, row-major with the y
@@ -196,6 +199,21 @@ class FiniteComponentMap:
         return f"<FiniteComponentMap {{{body}}}>"
 
 
+def subset_transform(entries: Iterable[tuple[int, int]], sign: int) -> list[int]:
+    """Sum ``(mask, value)`` pairs into 512 slots, mask bit i standing for x_i, and
+    transform over mask subsets: sign 1 (zeta) turns monomial coefficients into
+    values on the 0/1 neighborhoods, and sign -1 (Moebius) inverts it."""
+    values = [0] * 512
+    for mask, value in entries:
+        values[mask] += value
+    for i in range(9):
+        bit = 1 << i
+        for mask in range(512):
+            if mask & bit:
+                values[mask] += sign * values[mask ^ bit]
+    return values
+
+
 class GridRuleMap:
     """Shift-invariant local rule lifted to the coordinate axis via a pairing.
 
@@ -208,9 +226,9 @@ class GridRuleMap:
     the 9-bit mask of every cell in its 3x3 block (bit i stands for x_i),
     and a cell's image is ``table[mask]``.  The table holds the rule's
     value on all 512 0/1 neighborhoods: each monomial's coefficient sits
-    at the mask of its variables (x^k = x on 0/1 inputs) and a subset-sum
-    transform adds up every monomial a neighborhood switches on.  Any
-    other point takes the generic path, one ``rule.evaluate`` per cell.
+    at the mask of its variables (x^k = x on 0/1 inputs) and
+    :func:`subset_transform` adds up every monomial a neighborhood switches
+    on.  Any other point takes the generic path, one ``rule.evaluate`` per cell.
     """
 
     __slots__ = ("_rule", "_pairing", "_table")
@@ -223,15 +241,9 @@ class GridRuleMap:
             raise ValueError(f"local rule may only use variables x0..x8, found x{min(high)}")
         self._rule = rule
         self._pairing = pairing
-        table = [0] * 512
-        for mono, coeff in rule.terms.items():
-            table[sum(1 << var for var, _ in mono)] += coeff
-        for i in range(9):
-            bit = 1 << i
-            for mask in range(512):
-                if mask & bit:
-                    table[mask] += table[mask ^ bit]
-        self._table = table
+        self._table = subset_transform(
+            ((sum(1 << var for var, _ in mono), coeff) for mono, coeff in rule.terms.items()), 1
+        )
 
     @property
     def rule(self) -> Polynomial:
@@ -253,14 +265,14 @@ class GridRuleMap:
                     f"coordinate {idx} is not in the image of pairing '{self._pairing.name}'"
                 ) from exc
             cells[cell] = value
+        masks: dict[tuple[int, int], int] = {}
+        get = masks.get
+        for a, b in cells:
+            for da, db, bit in _SCATTER:
+                key = (a + da, b + db)
+                masks[key] = get(key, 0) | bit
         out: dict[int, int] = {}
         if all(v == 1 for v in cells.values()):
-            masks: dict[tuple[int, int], int] = {}
-            get = masks.get
-            for a, b in cells:
-                for da, db, bit in _SCATTER:
-                    key = (a + da, b + db)
-                    masks[key] = get(key, 0) | bit
             table = self._table
             for (a, b), mask in masks.items():
                 v = table[mask]
@@ -269,8 +281,7 @@ class GridRuleMap:
         else:
             evaluate = self._rule.evaluate
             read = cells.get
-            candidates = {(a + da, b + db) for a, b in cells for da, db in _OFFSETS9}
-            for a, b in candidates:
+            for a, b in masks:
                 if a >= 0 and b >= 0:
                     v = evaluate(tuple(read((a + da, b + db), 0) for da, db in _OFFSETS9))
                     if v:

@@ -5,14 +5,13 @@ in the next generation, build the degree-9 product of ``x_i`` (live bit)
 and ``1 - x_i`` (dead bit) factors, which is 1 exactly on that pattern
 among 0/1 inputs.  Summing the 140 qualifying products gives one local
 rule polynomial whose value on any 0/1 neighborhood is the center's next
-state.  Every product is multilinear, so the expanded sum is computed
-without multiplying polynomials: the coefficient of the monomial over
-the variable set S is a subset Moebius transform of the pattern
-indicator, the sum over patterns P with live(P) within S of
-(-1)^|S - live(P)|.  A pairing bijection between quadrant cells and
-natural numbers then turns grid configurations into finitely supported
-0/1 points and a grid generation into one application of a
-:class:`~orbitkit.dynamics.GridRuleMap`.
+state.  :func:`expand_patterns` sums any pattern set without multiplying
+polynomials, through the subset transform and 9-bit mask convention of
+:mod:`orbitkit.dynamics`; the Life rule and the ``verify --corrupt``
+control rule are both built this way.  A pairing bijection between
+quadrant cells and natural numbers then turns grid configurations into
+finitely supported 0/1 points and a grid generation into one application
+of a :class:`~orbitkit.dynamics.GridRuleMap`.
 
 Variable order is fixed as x0 = center and x1..x8 = the neighbors in
 row-major order (NW N NE W E SW S SE, y growing downward).
@@ -25,7 +24,7 @@ from itertools import product
 from math import isqrt
 from typing import Sequence
 
-from .dynamics import GridRuleMap, PairingSpec, SparsePoint
+from .dynamics import GridRuleMap, PairingSpec, SparsePoint, subset_transform
 from .life import LifeConfig
 from .polymap import Polynomial, constant, variable
 
@@ -39,6 +38,7 @@ __all__ = [
     "decode",
     "encode",
     "evaluate_pattern_sum",
+    "expand_patterns",
     "life_patterns",
     "pair",
     "pattern_factors",
@@ -120,26 +120,28 @@ def evaluate_pattern_sum(values: Sequence[int]) -> int:
     return total
 
 
+def expand_patterns(patterns) -> Polynomial:
+    """Expanded sum of :func:`pattern_term` over ``patterns``; for distinct
+    patterns, 1 exactly on them among the 512 0/1 inputs.  Each product is
+    multilinear, so the coefficient of x^S is the sum over patterns P with
+    live(P) within S of (-1)^|S - live(P)|, a subset Moebius transform."""
+    masks = (sum(b << i for i, b in enumerate(_check_pattern(bits))) for bits in patterns)
+    coeffs = subset_transform(((mask, 1) for mask in masks), -1)
+    return Polynomial(
+        (tuple((i, 1) for i in range(9) if mask >> i & 1), c) for mask, c in enumerate(coeffs) if c
+    )
+
+
 @lru_cache(maxsize=1)
 def build_local_rule() -> Polynomial:
     """Expanded canonical sum of the 140 pattern indicators.
 
-    The coefficients come from a subset Moebius transform of the pattern
-    indicator over the 512 variable subsets.  Construction cross-checks
-    the expansion against the un-expanded product form on all 512 0/1
-    neighborhoods.
+    The rule is :func:`expand_patterns` of :func:`life_patterns`, as the
+    ``verify --corrupt`` control rule is of its 112 patterns.  Construction
+    cross-checks the expansion against the un-expanded product form on all
+    512 0/1 neighborhoods.
     """
-    coeffs = [0] * 512
-    for bits in life_patterns():
-        coeffs[sum(b << i for i, b in enumerate(bits))] = 1
-    for i in range(9):
-        bit = 1 << i
-        for mask in range(512):
-            if mask & bit:
-                coeffs[mask] -= coeffs[mask ^ bit]
-    rule = Polynomial(
-        (tuple((i, 1) for i in range(9) if mask >> i & 1), c) for mask, c in enumerate(coeffs) if c
-    )
+    rule = expand_patterns(life_patterns())
     for bits in product((0, 1), repeat=9):
         if rule.evaluate(bits) != evaluate_pattern_sum(bits):
             raise RuntimeError("expanded local rule disagrees with its pattern sum")

@@ -257,6 +257,25 @@ def test_verify_corrupt_rule_fails(capsys):
     assert "failures=0" not in out
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    machine = tmp_path / "bin.tm"
+    machine.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(["tm", "run", str(machine)], capsys)
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
+    # the interpreter reads stdin with surrogateescape under a C/POSIX locale
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run_cli(["life", "step", "-"], capsys)
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["life", "run", "/nonexistent.rle"], capsys)
     assert code == 1
@@ -346,4 +365,25 @@ def test_verify_accepts_the_range_ends(capsys):
 def test_poly_rule_stdout_bytes_are_pinned(args, digest, capsys):
     code, out, _ = run_cli(["poly-rule", *args], capsys)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the orbit runs take the generic path: each point holds a 2, so apply evaluates the rule
+# polynomial; --max-steps stays small because value bit-lengths can triple every step
+@pytest.mark.parametrize(
+    "args, stdin, exit_code, digest",
+    [
+        (["verify", "--trials", "50", "--corrupt", "--seed", "7"], None, 2,
+         "3e318392089396895bb3d7f59ae56fa3d33929acc15cbc0ca394d721f038f682"),
+        (["orbit", "check", "--point", "-", "--map", "gol", "--max-steps", "3"], "12:1 17:2 23:1",
+         0, "3a8e513adb9e9d8a7bde17d14978c26ec180f352c021adf2a1ba8f8920731a16"),
+        (["orbit", "check", "--point", "-", "--map", "gol", "--max-steps", "3"], "12:2 13:1 24:1",
+         0, "1b2237c4b7cf15eb74da2cf0959de30409520edb6c1ecff84eb84348106ed89a"),
+    ],
+)
+def test_stdout_bytes_and_exit_code_are_pinned(args, stdin, exit_code, digest, monkeypatch, capsys):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, _ = run_cli(args, capsys)
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitkit import life
+from orbitkit import cli, life
 from orbitkit.dynamics import SparsePoint, iterate
 from orbitkit.lifepoly import (
     NotAConfigurationError,
@@ -16,6 +16,7 @@ from orbitkit.lifepoly import (
     decode,
     encode,
     evaluate_pattern_sum,
+    expand_patterns,
     life_patterns,
     pair,
     pattern_factors,
@@ -125,6 +126,14 @@ def test_moebius_rule_equals_the_sum_of_pattern_products():
     assert dict(build_local_rule().terms) == dict(expected.terms)
 
 
+@given(st.sets(st.sampled_from(ALL_INPUTS), max_size=40))
+def test_expanded_pattern_set_equals_the_sum_of_pattern_products(patterns):
+    expected = Polynomial.zero()
+    for bits in patterns:
+        expected = expected + pattern_term(bits)
+    assert expand_patterns(patterns) == expected
+
+
 def _count_calls(monkeypatch, cls, *names):
     calls = []
     for name in names:
@@ -147,6 +156,10 @@ def test_fresh_rule_build_multiplies_no_polynomials(monkeypatch):
         build_gol_map.cache_clear()
     assert calls == []
     assert len(rule.terms) == 466
+    # the verify --corrupt control rule goes through the same expansion
+    corrupted = cli._corrupted_rule()
+    assert calls == []
+    assert len(corrupted.terms) == 219
 
 
 def test_gol_map_apply_on_a_soup_evaluates_no_polynomial(monkeypatch):
