@@ -20,7 +20,7 @@ from .dynamics import (
 )
 from .orbit import StabilityVerdict, Stable, Unknown
 from .polymap import Polynomial, constant, parse_poly, variable
-from .turing import Configuration, Halted, TMDesc
+from .turing import Configuration, TMDesc
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "Exhausted",
     "FiniteComponentMap",
     "GridRuleMap",
-    "Halted",
     "PairingSpec",
     "Periodic",
     "PolyMapDesc",

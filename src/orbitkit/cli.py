@@ -13,7 +13,8 @@ Stdout is byte-deterministic for fixed inputs and seed; the wall-time
 line goes to stderr.  Every file argument accepts ``-`` for stdin.
 
 Exit codes: 0 = a verdict was produced (Unknown included), 1 = input
-error, 2 = internal invariant violation.
+error, 2 = internal invariant violation (any ``RuntimeError``, reported
+as ``internal check failed: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -29,15 +30,11 @@ from . import cycles, dynamics, life, lifepoly, orbit, turing
 from .dynamics import FiniteComponentMap, GridRuleMap
 from .polymap import PolyParseError, parse_poly
 
-__all__ = ["InternalCheckError", "main", "parse_component_map"]
+__all__ = ["main", "parse_component_map"]
 
 
 class CliInputError(ValueError):
     pass
-
-
-class InternalCheckError(RuntimeError):
-    """An invariant the toolkit guarantees failed at runtime."""
 
 
 _INPUT_ERRORS = (
@@ -185,26 +182,20 @@ def cmd_tm(args) -> int:
     print(f"command={args.command}")
     print(digest)
     if args.subcommand == "run":
-        truncated = False
-        last = None
-        steps = 0
         for k, c in enumerate(turing.trajectory(m, word)):
             if k > args.budget:
-                truncated = True
+                print(f"result=truncated steps={args.budget}")
                 break
             print(f"step={k} state={c.state} head={c.head} tape={_tape_str(c, m)}")
-            last, steps = c, k
-        if truncated:
-            print(f"result=truncated steps={args.budget}")
-        elif last.state == m.accept or last.state == m.reject:
-            verdict = "accept" if last.state == m.accept else "reject"
-            print(f"result=halted verdict={verdict} steps={steps}")
-        else:  # generator is infinite unless it halts, so this cannot happen
-            raise InternalCheckError("trajectory ended in a non-halting state")
+        else:  # the trajectory ended, so c is the halting configuration
+            verdict = "accept" if c.state == m.accept else "reject"
+            print(f"result=halted verdict={verdict} steps={k}")
         return 0
     detect = cycles.detect_brent if args.algorithm == "brent" else cycles.detect_hashset
     start = turing.initial_config(m, word)
-    verdict = detect(turing.step_fn(m), start, args.budget, args.halt_as_fixed_point)
+    verdict = detect(turing.step_fn(m), start, args.budget)
+    if args.halt_as_fixed_point and isinstance(verdict, cycles.Terminated):
+        verdict = cycles.Periodic(verdict.steps, 1)
     flag = "true" if args.halt_as_fixed_point else "false"
     print(f"algorithm={args.algorithm} budget={args.budget} halt_as_fixed_point={flag}")
     print(cycles.report_line(verdict))
@@ -212,11 +203,11 @@ def cmd_tm(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.point is not None and args.translate:
+        raise CliInputError("--translate only applies to --encode")
     print(f"command={args.command}")
     extra_lines = []
     if args.point is not None:
-        if args.translate:
-            raise CliInputError("--translate only applies to --encode")
         text, digest = _read_text(args.point)
         print(digest)
         point = dynamics.parse_point(text)
@@ -348,7 +339,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
+    except RuntimeError as exc:  # an internal invariant check failed
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
     finally:

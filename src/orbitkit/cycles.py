@@ -5,7 +5,9 @@ one of three verdicts: the sequence revisited a state (with exact
 minimal preperiod and period), the step function signaled termination
 by returning None (e.g. a Turing machine halting), or the budget ran
 out first.  The budget counts step invocations, so verdicts are
-reproducible across machines.
+reproducible across machines.  A halt is always reported as
+Terminated; the CLI's ``tm periodicity --halt-as-fixed-point`` relabels
+it as a period-1 cycle.
 
 No total decision procedure is offered on purpose: eventual periodicity
 is only semi-decidable, which is exactly what the Exhausted verdict
@@ -66,13 +68,7 @@ class Exhausted:
 CycleVerdict = Union[Periodic, Terminated, Exhausted]
 
 
-def _terminated(steps: int, halt_as_fixed_point: bool) -> CycleVerdict:
-    return Periodic(steps, 1) if halt_as_fixed_point else Terminated(steps)
-
-
-def detect_hashset(
-    step: StepFn, start: S, budget: int, halt_as_fixed_point: bool = False
-) -> CycleVerdict:
+def detect_hashset(step: StepFn, start: S, budget: int) -> CycleVerdict:
     """Walk storing every state; the first revisit gives minimal (preperiod, period).
 
     In a deterministic sequence the first repeated state is the cycle
@@ -86,7 +82,7 @@ def detect_hashset(
     for used in range(1, budget + 1):
         state = step(state)
         if state is None:
-            return _terminated(used - 1, halt_as_fixed_point)
+            return Terminated(used - 1)
         first = seen.get(state)
         if first is not None:
             return Periodic(preperiod=first, period=used - first)
@@ -98,9 +94,7 @@ class _OutOfBudget(Exception):
     pass
 
 
-def detect_brent(
-    step: StepFn, start: S, budget: int, halt_as_fixed_point: bool = False
-) -> CycleVerdict:
+def detect_brent(step: StepFn, start: S, budget: int) -> CycleVerdict:
     """Brent's algorithm; agrees with :func:`detect_hashset` when it completes.
 
     Needs more step invocations than the hash-set walk (it re-walks the
@@ -123,7 +117,7 @@ def detect_brent(
         pos = 0  # hare's index in the sequence = transitions taken from start
         nxt = advance(start)
         if nxt is None:
-            return _terminated(pos, halt_as_fixed_point)
+            return Terminated(pos)
         hare = nxt
         pos = 1
         tortoise = start
@@ -136,7 +130,7 @@ def detect_brent(
                 period = 0
             nxt = advance(hare)
             if nxt is None:
-                return _terminated(pos, halt_as_fixed_point)
+                return Terminated(pos)
             hare = nxt
             pos += 1
             period += 1

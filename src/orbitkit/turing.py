@@ -15,9 +15,11 @@ Machine description format (line-oriented; ``#`` starts a comment):
 Header lines may appear in any order; each is required exactly once.
 States and symbols are arbitrary whitespace-free identifiers.  The
 transition table must be total on (non-halting state, tape symbol);
-rules sourced at a halting state are ignored, since halting states
-absorb.  The head starts on cell 0; moving left from cell 0 leaves the
-head in place (the write and state change still happen).
+rules sourced at a halting state are ignored, since a halting state has
+no successor: :func:`tm_step` returns None from it, and
+:func:`trajectory` ends on the halting configuration.  The head starts
+on cell 0; moving left from cell 0 leaves the head in place (the write
+and state change still happen).
 
 A :class:`Configuration` keeps its tape as a persistent zipper of shared
 cons cells plus an XOR fingerprint of its non-blank cells, so
@@ -29,12 +31,11 @@ a few cells, so storing every state of a walk costs O(1) memory per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "Configuration",
-    "Halted",
-    "StepOutcome",
     "TMDesc",
     "TmError",
     "TmParseError",
@@ -156,14 +157,6 @@ def _configuration(state: str, head: int, left: tuple, right: tuple, fp: int) ->
     c = Configuration.__new__(Configuration)
     c._state, c._head, c._left, c._right, c._fp = state, head, left, right, fp
     return c
-
-
-@dataclass(frozen=True)
-class Halted:
-    accepting: bool
-
-
-StepOutcome = Union[Configuration, Halted]
 
 
 def make_config(state: str, tape: Mapping[int, str], head: int, blank: str) -> Configuration:
@@ -300,12 +293,12 @@ def initial_config(m: TMDesc, word: Sequence[str]) -> Configuration:
     return make_config(m.start, dict(enumerate(word)), 0, m.blank)
 
 
-def tm_step(m: TMDesc, c: Configuration) -> StepOutcome:
-    """One transition; halting states absorb regardless of tape and head."""
+def tm_step(m: TMDesc, c: Configuration) -> Optional[Configuration]:
+    """One transition, or None from a halting state whatever the tape and head."""
     if c._state not in m.states:
         raise TmError(f"corrupt configuration: unknown state '{c._state}'")
     if c._state == m.accept or c._state == m.reject:
-        return Halted(accepting=c._state == m.accept)
+        return None
     head, left, right, fp = c._head, c._left, c._right, c._fp
     read, rest = right if right else (None, _NIL)
     state, write, move = m.transitions[(c._state, m.blank if read is None else read)]
@@ -331,19 +324,11 @@ def tm_step(m: TMDesc, c: Configuration) -> StepOutcome:
 def trajectory(m: TMDesc, word: Sequence[str]) -> Iterator[Configuration]:
     """Lazy configuration sequence; ends at the halting configuration if reached."""
     c = initial_config(m, word)
-    while True:
+    while c is not None:
         yield c
-        outcome = tm_step(m, c)
-        if isinstance(outcome, Halted):
-            return
-        c = outcome
+        c = tm_step(m, c)
 
 
 def step_fn(m: TMDesc) -> Callable[[Configuration], Optional[Configuration]]:
-    """Adapter for cycle detection: returns None once the machine halts."""
-
-    def step(c: Configuration) -> Optional[Configuration]:
-        outcome = tm_step(m, c)
-        return None if isinstance(outcome, Halted) else outcome
-
-    return step
+    """The step function of ``m`` for cycle detection: None once the machine halts."""
+    return partial(tm_step, m)

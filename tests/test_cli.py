@@ -387,3 +387,67 @@ def test_stdout_bytes_and_exit_code_are_pinned(args, stdin, exit_code, digest, m
     code, out, _ = run_cli(args, capsys)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_translate_with_point_is_input_error_before_any_output(tmp_path, capsys):
+    p = tmp_path / "p.pt"
+    p.write_text("0:1")
+    code, out, err = run_cli(
+        ["orbit", "check", "--point", str(p), "--map", "gol", "--translate", "1", "1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: --translate only applies to --encode" in err
+
+
+def test_internal_check_failure_exits_two_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(lifepoly, "evaluate_pattern_sum", lambda bits: 7)
+    lifepoly.build_local_rule.cache_clear()
+    code, out, err = run_cli(["poly-rule"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "internal check failed: expanded local rule disagrees" in err
+    assert "Traceback" not in err
+
+
+SCANNER = """
+# rewrites 0s as 1s moving right; accepts at the first blank, rejects at a 1
+states: q qa qr
+input: 0 1
+tape: 0 1 _
+blank: _
+start: q
+accept: qa
+reject: qr
+q, 0 -> q, 1, R
+q, 1 -> qr, 0, L
+q, _ -> qa, 1, R
+"""
+
+
+# the scanner accepts "000" after 4 steps and rejects "001" after 3; budget 2 truncates
+# its "000" run, and --halt-as-fixed-point relabels the 4-step halt as a period-1 cycle
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["run", "-", "--input", "000"],
+         "53cf075250ae8652e95dd98abdf367e6adee6e9acde96da69c5d42f5b3563524"),
+        (["run", "-", "--input", "001"],
+         "397b6365a2362a2f2849f07cd87e68031485dc9322b3e433e5deac74c2369e0a"),
+        (["run", "-", "--input", "000", "--budget", "2"],
+         "bc2ff3d27a305184e11fa92c5de685032fd143500d4f0e506cedc23244ec5bb8"),
+        (["periodicity", "-", "--input", "000", "--algorithm", "hashset"],
+         "19a2f6ce1e51ea28e0b83112ba093e2159093db17ee3a3637cae6472d5ae1288"),
+        (["periodicity", "-", "--input", "000", "--algorithm", "hashset", "--halt-as-fixed-point"],
+         "c0b83aef527554cb9c9a7ac36e31bb2caef96fd5e3f058bef14fbbeb55eb6082"),
+        (["periodicity", "-", "--input", "000", "--algorithm", "brent"],
+         "5f2cd4c5bf6061b27fbb4008f77233aac9da4b8f91b55f21b4f0ed2071b54ce3"),
+        (["periodicity", "-", "--input", "000", "--algorithm", "brent", "--halt-as-fixed-point"],
+         "e3f3e963487c07ae55b5423820aa3535a71664853b6c3e023bb76323d8b7b61c"),
+    ],
+)
+def test_tm_stdout_bytes_and_exit_code_are_pinned(args, digest, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(SCANNER))
+    code, out, _ = run_cli(["tm", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -105,13 +105,6 @@ def test_brent_exhausts_under_tight_budget():
     assert detect_brent(step, 0, 5) == Exhausted(5)
 
 
-def test_halt_as_fixed_point_mode():
-    step = terminating_step(4)
-    assert detect_hashset(step, 0, 100, halt_as_fixed_point=True) == Periodic(4, 1)
-    assert detect_brent(step, 0, 100, halt_as_fixed_point=True) == Periodic(4, 1)
-    assert detect_hashset(step, 0, 100) == Terminated(4)
-
-
 def test_budget_validation_and_edge():
     assert detect_hashset(lambda n: n + 1, 0, 0) == Exhausted(0)
     assert detect_brent(lambda n: n + 1, 0, 0) == Exhausted(0)
