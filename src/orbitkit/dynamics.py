@@ -68,6 +68,11 @@ class SparsePoint:
 
     Unlisted coordinates read as 0; zero values are never stored, so
     equality and hashing agree with the function the point denotes.
+
+    The public constructor checks every entry.  Maps build their images
+    with :meth:`_raw` instead, which checks nothing: its dict must have
+    natural ``int`` keys and nonzero ``int`` values, and it is handed over
+    to the point, so the caller never mutates it afterwards.
     """
 
     __slots__ = ("_entries", "_hash")
@@ -85,6 +90,13 @@ class SparsePoint:
                     data[coord] = value
         self._entries = data
         self._hash = None
+
+    @classmethod
+    def _raw(cls, data: dict) -> "SparsePoint":
+        p = cls.__new__(cls)
+        p._entries = data
+        p._hash = None
+        return p
 
     def get(self, coord: int, default: int = 0) -> int:
         return self._entries.get(coord, default)
@@ -150,8 +162,9 @@ def parse_point(text: str) -> SparsePoint:
 class PairingSpec:
     """A named bijection between quadrant cells (a, b) and coordinate indexes.
 
-    ``inverse`` must raise :class:`ValueError` for indexes outside the
-    image of ``forward``.
+    ``forward`` must return natural ``int`` indexes, which grid-rule
+    application stores unchecked; ``inverse`` must raise
+    :class:`ValueError` for indexes outside the image of ``forward``.
     """
 
     name: str
@@ -185,14 +198,17 @@ class FiniteComponentMap:
         return MappingProxyType(self._components)
 
     def apply(self, x: SparsePoint) -> SparsePoint:
-        entries = dict(x.items())
+        """Evaluate every component on ``x``'s own entries dict, so each variable
+        read is a plain dict lookup, and build the image without re-checking it."""
+        source = x._entries
+        entries = source.copy()
         for coord, poly in self._components.items():
-            v = poly.evaluate(x)
+            v = poly.evaluate(source)
             if v:
                 entries[coord] = v
             else:
                 entries.pop(coord, None)
-        return SparsePoint(entries)
+        return SparsePoint._raw(entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {p}" for i, p in sorted(self._components.items()))
@@ -286,7 +302,7 @@ class GridRuleMap:
                     v = evaluate(tuple(read((a + da, b + db), 0) for da, db in _OFFSETS9))
                     if v:
                         out[forward(a, b)] = v
-        return SparsePoint(out)
+        return SparsePoint._raw(out)
 
     def __repr__(self) -> str:
         return f"<GridRuleMap pairing={self._pairing.name} rule_terms={len(self._rule.terms)}>"

@@ -178,7 +178,7 @@ def encode(config: LifeConfig) -> SparsePoint:
         if x < 0 or y < 0:
             raise OutOfQuadrantError(f"live cell ({x}, {y}) has a negative coordinate")
         entries[pair(x, y)] = 1
-    return SparsePoint(entries)
+    return SparsePoint._raw(entries)
 
 
 def decode(point: SparsePoint) -> LifeConfig:

@@ -113,3 +113,24 @@ def reference_grid_apply(rule, point):
                 values = tuple(cells.get((ca + da, cb + db), 0) for da, db in offsets)
                 out[pair(ca, cb)] = rule.evaluate(values)
     return SparsePoint(out)
+
+
+def count_calls(monkeypatch, cls, *names):
+    """Wrap the named methods of ``cls`` so each call appends its name to the returned list."""
+    calls = []
+    for name in names:
+        def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def reference_component_apply(m, point):
+    """Each component evaluated on the point itself, the image built through the
+    checking ``SparsePoint`` constructor, which also drops zero values."""
+    values = dict(point.items())
+    for coord, poly in m.components.items():
+        values[coord] = poly.evaluate(point)
+    return SparsePoint(values)

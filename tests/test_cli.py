@@ -451,3 +451,41 @@ def test_tm_stdout_bytes_and_exit_code_are_pinned(args, digest, monkeypatch, cap
     code, out, _ = run_cli(["tm", *args], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# component-map runs; the B_5 point's moved values have distinct absolute values, some
+# above 64 bits, so swap, cycle and flip generate a free orbit of 2^5 * 5! = 3840 points
+B5_POINT = (f"0:17 3:{2**70 + 1} 7:-{2**65 + 3} 11:5 20:-9 31:12345678901234567890123"
+            f" 40:-{2**80}\n")
+B5_MAPS = {
+    "swap.map": "3: x7\n7: x3\n",
+    "cycle.map": "3: x7\n7: x11\n11: x20\n20: x31\n31: x3\n",
+    "flip.map": "3: -1*x3\n",
+}
+
+
+# the singleton map moves x1 to 0 and x2 to 1 and sends 2 to 0, so the coordinates leave
+# the support one by one, while coordinate 5, off the support, takes x0 + 1
+@pytest.mark.parametrize(
+    "files, args, digest",
+    [
+        ({"b5.pt": B5_POINT, **B5_MAPS},
+         ["--point", "b5.pt", "--map", "swap.map", "--map", "cycle.map", "--map", "flip.map"],
+         "e0e798e42354ee193ae1108b8ed4c4e10584d36d4ac1998d2bbc69c3df4e2380"),
+        ({"u.pt": f"4:{2**70 + 5} 9:-{2**66 + 1}\n", "u.map": "4: x4 + x9^2\n"},
+         ["--point", "u.pt", "--map", "u.map", "--closure", "--max-points", "200"],
+         "2accb478a3431c3edf8ff4002ea8080b3dbeac61644f9bb995b0e0db74fd9332"),
+        ({"s.pt": "0:3 1:5 2:-7\n", "s.map": "0: x1\n1: x2\n2: 0\n5: x0 + 1\n"},
+         ["--point", "s.pt", "--map", "s.map"],
+         "366e0c4fd0c082399b9fea1188ab46a0bfc1759269cca70182b1de3dc4fac409"),
+    ],
+)
+def test_component_map_stdout_bytes_and_exit_code_are_pinned(
+    files, args, digest, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run_cli(["orbit", "check", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

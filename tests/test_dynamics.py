@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitkit import cli
+from orbitkit import cli, life
 from orbitkit.dynamics import (
     NEIGHBOR_OFFSETS,
     FiniteComponentMap,
@@ -20,10 +20,17 @@ from orbitkit.dynamics import (
     iterate,
     parse_point,
 )
-from orbitkit.lifepoly import build_local_rule, cantor_pairing, pair, unpair
+from orbitkit.lifepoly import (
+    build_gol_map,
+    build_local_rule,
+    cantor_pairing,
+    encode,
+    pair,
+    unpair,
+)
 from orbitkit.polymap import Polynomial, constant, variable
 
-from helpers import reference_grid_apply
+from helpers import count_calls, reference_component_apply, reference_grid_apply
 
 points = st.dictionaries(
     st.integers(0, 30), st.integers(-9, 9).filter(bool), max_size=6
@@ -203,6 +210,56 @@ def test_no_zero_entries_survive_apply():
         x = SparsePoint({c: rng.randint(-3, 3) for c in range(3) if rng.random() < 0.7})
         y = m.apply(x)
         assert all(v != 0 for _, v in y.items())
+
+
+wide_values = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)).filter(bool)
+wide_points = st.dictionaries(st.integers(0, 12), wide_values, max_size=6).map(SparsePoint)
+# the empty monomial is a constant term
+component_polys = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, 12), st.integers(1, 3), max_size=3).map(
+            lambda exps: tuple(exps.items())
+        ),
+        wide_values,
+    ),
+    max_size=4,
+).map(Polynomial)
+
+
+@given(st.data())
+def test_component_apply_matches_checking_reference(data):
+    x = data.draw(wide_points)
+    components = data.draw(st.dictionaries(st.integers(0, 12), component_polys, max_size=5))
+    # some components cancel to 0 on x; on x's support that removes the coordinate
+    for coord in data.draw(st.sets(st.sampled_from(sorted(set(components) | x.support() | {0})))):
+        poly = components.get(coord, variable(coord))
+        components[coord] = poly - poly.evaluate(x)
+    m = FiniteComponentMap(components)
+    before = list(x.items())
+    h = hash(x)
+    got = m.apply(x)
+    expected = reference_component_apply(m, x)
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert all(type(c) is int and c >= 0 and type(v) is int and v != 0 for c, v in got.items())
+    assert list(x.items()) == before
+    assert hash(x) == h == hash(SparsePoint(before))
+
+
+def test_maps_and_encode_build_points_without_the_checking_constructor(monkeypatch):
+    blinker = frozenset({(2, 1), (2, 2), (2, 3)})
+    binary = encode(blinker)
+    holding_two = SparsePoint({12: 1, 17: 2, 23: 1})
+    m = FiniteComponentMap({0: variable(1), 1: variable(0) ** 2 + 1, 5: constant(0)})
+    x = SparsePoint({0: 2, 1: -3, 5: 4})
+    gol = build_gol_map()
+    calls = count_calls(monkeypatch, SparsePoint, "__init__")
+    images = [m.apply(x), gol.apply(binary), gol.apply(holding_two), encode(blinker)]
+    assert calls == []
+    assert images[0] == SparsePoint({0: -3, 1: 5})
+    assert images[1] == encode(life.step(blinker))
+    assert images[2] == reference_grid_apply(gol.rule, holding_two)
+    assert images[3] == binary
 
 
 def test_symbolic_composition_matches_numeric_double_apply():

@@ -27,7 +27,7 @@ from orbitkit.lifepoly import (
 )
 from orbitkit.polymap import Polynomial, constant, variable
 
-from helpers import BLINKER, BLOCK, TOAD
+from helpers import BLINKER, BLOCK, TOAD, count_calls
 
 ALL_INPUTS = tuple(product((0, 1), repeat=9))
 BIRTH_PROBE = (0, 1, 1, 1, 0, 0, 0, 0, 0)
@@ -134,21 +134,10 @@ def test_expanded_pattern_set_equals_the_sum_of_pattern_products(patterns):
     assert expand_patterns(patterns) == expected
 
 
-def _count_calls(monkeypatch, cls, *names):
-    calls = []
-    for name in names:
-        def counted(*args, _original=getattr(cls, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
 def test_fresh_rule_build_multiplies_no_polynomials(monkeypatch):
     build_gol_map.cache_clear()
     build_local_rule.cache_clear()
-    calls = _count_calls(monkeypatch, Polynomial, "__mul__", "__rmul__")
+    calls = count_calls(monkeypatch, Polynomial, "__mul__", "__rmul__")
     try:
         rule = build_local_rule()
     finally:
@@ -165,7 +154,7 @@ def test_fresh_rule_build_multiplies_no_polynomials(monkeypatch):
 def test_gol_map_apply_on_a_soup_evaluates_no_polynomial(monkeypatch):
     phi = build_gol_map()
     soup = life.random_soup(random.Random(15), 16, 0.3, origin=(1, 1))
-    calls = _count_calls(monkeypatch, Polynomial, "evaluate")
+    calls = count_calls(monkeypatch, Polynomial, "evaluate")
     image = phi.apply(encode(soup))
     assert calls == []
     assert decode(image) == life.step(soup)
