@@ -114,25 +114,21 @@ def detect_brent(step: StepFn, start: S, budget: int) -> CycleVerdict:
 
     try:
         # Phase 1: find the period with a power-of-two teleporting turtle.
-        pos = 0  # hare's index in the sequence = transitions taken from start
-        nxt = advance(start)
-        if nxt is None:
-            return Terminated(pos)
-        hare = nxt
-        pos = 1
+        # After each advance the hare's index is ``used``; when that advance
+        # returns None, the state at index ``used - 1`` halted.
+        hare = advance(start)
+        if hare is None:
+            return Terminated(used - 1)
         tortoise = start
-        power = 1
-        period = 1
+        power = period = 1
         while tortoise != hare:
             if power == period:
                 tortoise = hare
                 power *= 2
                 period = 0
-            nxt = advance(hare)
-            if nxt is None:
-                return Terminated(pos)
-            hare = nxt
-            pos += 1
+            hare = advance(hare)
+            if hare is None:
+                return Terminated(used - 1)
             period += 1
 
         # Phase 2: re-walk two pointers `period` apart to find the preperiod.

@@ -6,8 +6,8 @@ Two map families describe every self-map the toolkit needs:
 * :class:`FiniteComponentMap` rewrites finitely many coordinates with
   polynomials and leaves every other coordinate untouched.
 * :class:`GridRuleMap` lifts a local rule on a 3x3 planar neighborhood to
-  the whole coordinate axis through a pairing bijection between quadrant
-  cells and coordinate indexes.  Every coordinate is computed by the
+  the whole coordinate axis through a pairing, an injection of quadrant
+  cells into coordinate indexes.  Every coordinate is computed by the
   rule, so the rule must send the all-zero neighborhood to 0; that keeps
   images finitely supported and is checked at construction.  On 0/1
   points the rule takes only 512 inputs, so construction compiles it to
@@ -39,7 +39,6 @@ __all__ = [
     "PointParseError",
     "PolyMapDesc",
     "SparsePoint",
-    "apply",
     "emit_point",
     "iterate",
     "parse_point",
@@ -136,13 +135,14 @@ def emit_point(point: SparsePoint) -> str:
     return " ".join(f"{i}:{v}" for i, v in sorted(point.items()))
 
 
-_TOKEN_RE = re.compile(r"^(\d+):(-?\d+)$")
+_TOKEN_RE = re.compile(r"^([0-9]+):(-?[0-9]+)$")
 
 
 def parse_point(text: str) -> SparsePoint:
     """Parse whitespace-separated ``index:value`` tokens, in any order.
 
-    Rejects duplicate indices and explicit zero values.
+    Rejects duplicate indices and explicit zero values, so the entries are
+    canonical and the point takes them over unchecked.
     """
     entries: dict[int, int] = {}
     for token in text.split():
@@ -155,12 +155,12 @@ def parse_point(text: str) -> SparsePoint:
         if coord in entries:
             raise PointParseError(f"duplicate coordinate {coord}")
         entries[coord] = value
-    return SparsePoint(entries)
+    return SparsePoint._raw(entries)
 
 
 @dataclass(frozen=True)
 class PairingSpec:
-    """A named bijection between quadrant cells (a, b) and coordinate indexes.
+    """A named injection of quadrant cells (a, b) into coordinate indexes.
 
     ``forward`` must return natural ``int`` indexes, which grid-rule
     application stores unchecked; ``inverse`` must raise
@@ -299,7 +299,8 @@ class GridRuleMap:
             read = cells.get
             for a, b in masks:
                 if a >= 0 and b >= 0:
-                    v = evaluate(tuple(read((a + da, b + db), 0) for da, db in _OFFSETS9))
+                    v = evaluate({i: read((a + da, b + db), 0)
+                                  for i, (da, db) in enumerate(_OFFSETS9)})
                     if v:
                         out[forward(a, b)] = v
         return SparsePoint._raw(out)
@@ -309,11 +310,6 @@ class GridRuleMap:
 
 
 PolyMapDesc = Union[FiniteComponentMap, GridRuleMap]
-
-
-def apply(m: PolyMapDesc, x: SparsePoint) -> SparsePoint:
-    """Apply a finitely described polynomial map to a point."""
-    return m.apply(x)
 
 
 def iterate(m: PolyMapDesc, x: SparsePoint, n: int) -> SparsePoint:

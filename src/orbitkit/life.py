@@ -103,7 +103,7 @@ def random_soup(rng, size: int, density: float, origin: Cell = (0, 0)) -> LifeCo
     )
 
 
-_HEADER_RE = re.compile(r"^x\s*=\s*(\d+)\s*,\s*y\s*=\s*(\d+)\s*(?:,\s*rule\s*=\s*\S+\s*)?$")
+_HEADER_RE = re.compile(r"^x\s*=\s*([0-9]+)\s*,\s*y\s*=\s*([0-9]+)\s*(?:,\s*rule\s*=\s*\S+\s*)?$")
 
 
 def parse_rle(text: str) -> LifeConfig:
@@ -136,7 +136,7 @@ def parse_rle(text: str) -> LifeConfig:
         if line.lstrip().startswith("#"):
             continue
         for ci, ch in enumerate(line):
-            if ch.isdigit():
+            if "0" <= ch <= "9":
                 count = count * 10 + int(ch)
                 has_count = True
             elif ch == "b":

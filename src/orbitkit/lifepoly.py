@@ -127,8 +127,9 @@ def expand_patterns(patterns) -> Polynomial:
     live(P) within S of (-1)^|S - live(P)|, a subset Moebius transform."""
     masks = (sum(b << i for i, b in enumerate(_check_pattern(bits))) for bits in patterns)
     coeffs = subset_transform(((mask, 1) for mask in masks), -1)
-    return Polynomial(
-        (tuple((i, 1) for i in range(9) if mask >> i & 1), c) for mask, c in enumerate(coeffs) if c
+    # sorted multilinear monomials with nonzero coefficients are already canonical
+    return Polynomial._raw(
+        {tuple((i, 1) for i in range(9) if mask >> i & 1): c for mask, c in enumerate(coeffs) if c}
     )
 
 
@@ -143,7 +144,7 @@ def build_local_rule() -> Polynomial:
     """
     rule = expand_patterns(life_patterns())
     for bits in product((0, 1), repeat=9):
-        if rule.evaluate(bits) != evaluate_pattern_sum(bits):
+        if rule.evaluate(dict(enumerate(bits))) != evaluate_pattern_sum(bits):
             raise RuntimeError("expanded local rule disagrees with its pattern sum")
     return rule
 

@@ -177,10 +177,9 @@ class Polynomial:
         return result
 
     def evaluate(self, assignment) -> int:
-        """Evaluate at an assignment: a mapping var -> int (missing vars read
-        as 0) or a sequence indexed by variable number."""
-        if isinstance(assignment, (list, tuple)):
-            assignment = dict(enumerate(assignment))
+        """Evaluate at an assignment: any mapping var -> int with a ``get``
+        method, such as a dict or a ``SparsePoint``; missing vars read as 0.
+        A sequence of values is passed as ``dict(enumerate(values))``."""
         get = assignment.get
         total = 0
         for mono, coeff in self._terms.items():
@@ -273,7 +272,7 @@ def _coerce(value):
     return NotImplemented
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_poly(text: str) -> Polynomial:
@@ -306,7 +305,7 @@ def parse_poly(text: str) -> Polynomial:
             token = raw.strip()
             if not token:
                 raise PolyParseError(f"empty factor in term {chunk!r}")
-            if token.isdigit():
+            if token.isascii() and token.isdigit():
                 if i != 0:
                     raise PolyParseError(f"coefficient must lead its term: {chunk!r}")
                 coeff = int(token)

@@ -111,7 +111,7 @@ def reference_grid_apply(rule, point):
         for ca, cb in ((a + da, b + db) for da, db in offsets):
             if ca >= 0 and cb >= 0:
                 values = tuple(cells.get((ca + da, cb + db), 0) for da, db in offsets)
-                out[pair(ca, cb)] = rule.evaluate(values)
+                out[pair(ca, cb)] = rule.evaluate(dict(enumerate(values)))
     return SparsePoint(out)
 
 

@@ -45,7 +45,7 @@ def test_criterion_1_truth_table_exact():
         rule = lifepoly.build_local_rule()
         start = time.perf_counter()
         for bits in product((0, 1), repeat=9):
-            assert rule.evaluate(bits) == reference_next_state(bits)
+            assert rule.evaluate(dict(enumerate(bits))) == reference_next_state(bits)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"truth table took {elapsed:.3f}s (limit 1s)"
 
@@ -61,7 +61,7 @@ def test_criterion_2_pattern_count_and_form_agreement():
             assert lifepoly.pattern_term(bits).total_degree() == 9
         rule = lifepoly.build_local_rule()
         for bits in product((0, 1), repeat=9):
-            assert rule.evaluate(bits) == lifepoly.evaluate_pattern_sum(bits)
+            assert rule.evaluate(dict(enumerate(bits))) == lifepoly.evaluate_pattern_sum(bits)
 
 
 def test_criterion_3_commuting_square_on_1000_soups():

@@ -4,11 +4,11 @@ import io
 import pytest
 
 from orbitkit import life, lifepoly
-from orbitkit.cli import main, parse_component_map
+from orbitkit.cli import CliInputError, main, parse_component_map
 from orbitkit.dynamics import SparsePoint
 from orbitkit.polymap import variable
 
-from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE
+from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE, count_calls
 from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER, WRITER
 
 
@@ -235,6 +235,13 @@ def test_parse_component_map_helper():
         parse_component_map("0 1*x0")
 
 
+# int() also takes a sign, digit-group underscores and other scripts' digits
+@pytest.mark.parametrize("coordinate", ["+3", "1_0", "٣", "-1", ""])
+def test_parse_component_map_takes_ascii_natural_coordinates_only(coordinate):
+    with pytest.raises(CliInputError, match="is not a natural number"):
+        parse_component_map(f"{coordinate}: x0\n")
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     args = ["verify", "--trials", "40", "--size", "12", "--seed", "7"]
     code, out1, _ = run_cli(args, capsys)
@@ -255,6 +262,15 @@ def test_verify_corrupt_rule_fails(capsys):
     code, out, _ = run_cli(["verify", "--trials", "20", "--corrupt", "--seed", "7"], capsys)
     assert code == 2
     assert "failures=0" not in out
+
+
+@pytest.mark.parametrize("corrupt", [[], ["--corrupt"]], ids=["life", "corrupt"])
+def test_verify_compares_points_without_decoding(corrupt, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, lifepoly, "decode")
+    code, out, _ = run_cli(["verify", "--trials", "20", "--seed", "7", *corrupt], capsys)
+    assert calls == []
+    assert code == (2 if corrupt else 0)
+    assert ("failures=0 passes=20" in out) == (not corrupt)
 
 
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
@@ -288,6 +304,24 @@ def test_bad_rle_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(["life", "run", str(p)], capsys)
     assert code == 1
     assert "unknown symbol" in err
+
+
+# "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError
+@pytest.mark.parametrize(
+    "name, text, args",
+    [
+        ("m.map", "0: ²*x0\n", ["orbit", "check", "--point", "p.pt", "--map", "m.map"]),
+        ("s.rle", "x = 1, y = 1\n²o!", ["life", "run", "s.rle"]),
+    ],
+    ids=["map", "rle"],
+)
+def test_non_ascii_digit_is_input_error(name, text, args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pt").write_text("0:1\n")
+    (tmp_path / name).write_text(text)
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_usage_error_exits_one(capsys):

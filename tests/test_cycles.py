@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitkit.cycles import (
     Exhausted,
@@ -103,6 +105,36 @@ def test_exhausted_is_sound_no_revisit_within_budget():
 def test_brent_exhausts_under_tight_budget():
     step = rho_step(10, 10)
     assert detect_brent(step, 0, 5) == Exhausted(5)
+
+
+def _counting(step):
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return step(state)
+
+    return counted, calls
+
+
+# every shape here completes within 60 calls: Brent needs at most 55, for rho(10, 10)
+@given(st.one_of(
+    st.builds(rho_step, st.integers(0, 10), st.integers(1, 10)),
+    st.builds(terminating_step, st.integers(0, 40)),
+))
+def test_brent_budget_accounting_is_exact(step):
+    completed = None  # verdict and call count at the first budget that completes
+    for budget in range(61):
+        counted, calls = _counting(step)
+        verdict = detect_brent(counted, 0, budget)
+        if completed is None and isinstance(verdict, Exhausted):
+            assert verdict == Exhausted(budget) and len(calls) == budget
+            continue
+        if completed is None:
+            completed = verdict, len(calls)
+        assert verdict == completed[0] == detect_hashset(step, 0, budget)
+        assert len(calls) == completed[1]
+    assert completed is not None
 
 
 def test_budget_validation_and_edge():

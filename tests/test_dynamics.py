@@ -15,7 +15,6 @@ from orbitkit.dynamics import (
     PairingSpec,
     PointParseError,
     SparsePoint,
-    apply,
     emit_point,
     iterate,
     parse_point,
@@ -72,7 +71,10 @@ def test_parse_point_accepts_any_order():
     assert parse_point("  \n ") == SparsePoint()
 
 
-@pytest.mark.parametrize("bad", ["0:0", "1:2 1:3", "x:1", "3", "3:", "-1:2", "1:2:3"])
+# "٣" is the Arabic-Indic three, which the regex \d and int() both accept
+@pytest.mark.parametrize(
+    "bad", ["0:0", "1:2 1:3", "x:1", "3", "3:", "-1:2", "1:2:3", "0:٣", "٣:1", "2:-٣"]
+)
 def test_parse_point_rejects(bad):
     with pytest.raises(PointParseError):
         parse_point(bad)
@@ -120,7 +122,7 @@ def test_iterate():
 
 def test_apply_dispatches():
     m = FiniteComponentMap({0: variable(0) + 1})
-    assert apply(m, SparsePoint()) == SparsePoint({0: 1})
+    assert m.apply(SparsePoint()) == SparsePoint({0: 1})
 
 
 def test_grid_rule_rejects_nonzero_at_zero():
@@ -254,12 +256,14 @@ def test_maps_and_encode_build_points_without_the_checking_constructor(monkeypat
     x = SparsePoint({0: 2, 1: -3, 5: 4})
     gol = build_gol_map()
     calls = count_calls(monkeypatch, SparsePoint, "__init__")
-    images = [m.apply(x), gol.apply(binary), gol.apply(holding_two), encode(blinker)]
+    images = [m.apply(x), gol.apply(binary), gol.apply(holding_two), encode(blinker),
+              parse_point("23:1 12:1 17:2")]
     assert calls == []
     assert images[0] == SparsePoint({0: -3, 1: 5})
     assert images[1] == encode(life.step(blinker))
     assert images[2] == reference_grid_apply(gol.rule, holding_two)
     assert images[3] == binary
+    assert images[4] == holding_two
 
 
 def test_symbolic_composition_matches_numeric_double_apply():

@@ -147,6 +147,14 @@ def test_parse_errors_carry_position():
         parse_rle("")
 
 
+# "²" is a digit to str.isdigit but not to int(), and "٣" (Arabic-Indic three) is
+# one to both; the RLE dialect counts in ASCII digits only
+@pytest.mark.parametrize("bad", ["x = ٣, y = 1\no!", "x = 1, y = 1\n²o!", "x = 3, y = 1\n٣o!"])
+def test_parse_accepts_ascii_digits_only(bad):
+    with pytest.raises(RleParseError):
+        parse_rle(bad)
+
+
 def test_emit_empty():
     assert emit_rle(frozenset()) == "x = 0, y = 0\n!"
 

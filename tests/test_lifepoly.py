@@ -50,8 +50,8 @@ def test_pattern_term_is_the_expected_product():
 
 def test_pattern_term_all_dead_pattern():
     p = pattern_term((0,) * 9)
-    assert p.evaluate((0,) * 9) == 1
-    assert sum(p.evaluate(bits) for bits in ALL_INPUTS) == 1
+    assert p.evaluate(dict(enumerate((0,) * 9))) == 1
+    assert sum(p.evaluate(dict(enumerate(bits))) for bits in ALL_INPUTS) == 1
 
 
 def test_rule_patterns_are_exact_indicators():
@@ -59,9 +59,9 @@ def test_rule_patterns_are_exact_indicators():
     sample = list(life_patterns()) + [rng.choice(ALL_INPUTS) for _ in range(10)]
     for bits in sample:
         p = pattern_term(bits)
-        assert p.evaluate(bits) == 1
+        assert p.evaluate(dict(enumerate(bits))) == 1
         # 0/1 products are 0 or 1, so total mass 1 means 0 everywhere else
-        assert sum(p.evaluate(v) for v in ALL_INPUTS) == 1
+        assert sum(p.evaluate(dict(enumerate(v))) for v in ALL_INPUTS) == 1
 
 
 def test_pattern_term_validates():
@@ -98,25 +98,25 @@ def test_pattern_count_matches_combinatorics():
 def test_local_rule_truth_table_is_exact():
     rule = build_local_rule()
     for bits in ALL_INPUTS:
-        assert rule.evaluate(bits) == reference_next_state(bits)
+        assert rule.evaluate(dict(enumerate(bits))) == reference_next_state(bits)
 
 
 def test_local_rule_probes():
     rule = build_local_rule()
-    assert rule.evaluate(BIRTH_PROBE) == 1
-    assert rule.evaluate((0,) * 9) == 0
+    assert rule.evaluate(dict(enumerate(BIRTH_PROBE))) == 1
+    assert rule.evaluate(dict(enumerate((0,) * 9))) == 0
     assert rule.evaluate({}) == 0
 
 
 def test_expanded_and_pattern_sum_forms_agree():
     rule = build_local_rule()
     for bits in ALL_INPUTS:
-        assert rule.evaluate(bits) == evaluate_pattern_sum(bits)
+        assert rule.evaluate(dict(enumerate(bits))) == evaluate_pattern_sum(bits)
     # also off the 0/1 cube, where both are ordinary integer polynomials
     rng = random.Random(11)
     for _ in range(20):
         values = tuple(rng.randint(-3, 3) for _ in range(9))
-        assert rule.evaluate(values) == evaluate_pattern_sum(values)
+        assert rule.evaluate(dict(enumerate(values))) == evaluate_pattern_sum(values)
 
 
 def test_moebius_rule_equals_the_sum_of_pattern_products():
@@ -149,6 +149,20 @@ def test_fresh_rule_build_multiplies_no_polynomials(monkeypatch):
     corrupted = cli._corrupted_rule()
     assert calls == []
     assert len(corrupted.terms) == 219
+
+
+def test_expand_patterns_hands_over_canonical_terms(monkeypatch):
+    patterns = life_patterns()
+    calls = count_calls(monkeypatch, Polynomial, "__init__")
+    rules = [expand_patterns(patterns), cli._corrupted_rule()]
+    assert calls == []
+    monkeypatch.undo()
+    for rule in rules:
+        # the checking constructor finds nothing to normalize
+        checked = Polynomial(rule.terms)
+        assert dict(checked.terms) == dict(rule.terms)
+        assert hash(checked) == hash(rule)
+    assert rules[0] == build_local_rule()
 
 
 def test_gol_map_apply_on_a_soup_evaluates_no_polynomial(monkeypatch):
@@ -308,4 +322,4 @@ def _neighborhood_values(x, a, b):
     for da, db in offsets:
         ca, cb = a + da, b + db
         values.append(x.get(pair(ca, cb)) if ca >= 0 and cb >= 0 else 0)
-    return tuple(values)
+    return dict(enumerate(values))

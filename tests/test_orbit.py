@@ -3,7 +3,7 @@ import random
 import pytest
 
 from orbitkit import cycles, life
-from orbitkit.dynamics import FiniteComponentMap, SparsePoint, apply
+from orbitkit.dynamics import FiniteComponentMap, SparsePoint
 from orbitkit.lifepoly import build_gol_map, encode, quadrant_safe
 from orbitkit.orbit import (
     Stable,
@@ -118,7 +118,7 @@ def test_closure_soundness_audit():
         checked += 1
         for p in pts:
             for g in gens:
-                assert apply(g, p) in pts
+                assert g.apply(p) in pts
     assert checked >= 5
 
 

@@ -307,6 +307,48 @@ def machines(draw):
     return parse_tm(text), word
 
 
+@st.composite
+def described_machines(draw):
+    """A random valid machine as its parts, and a description of it written with all
+    the slack the format allows: headers in any order among the rules, ``#`` comments,
+    blank lines, extra whitespace, and rules at halting states, which the parser drops."""
+    states = draw(st.lists(st.sampled_from(["q0", "q1", "scan", "back", "yes", "no"]),
+                           min_size=2, max_size=4, unique=True))
+    accept, reject = draw(st.permutations(states))[:2]
+    start = draw(st.sampled_from(states))
+    tape = draw(st.lists(st.sampled_from(["0", "1", "a", "_", "B"]), min_size=1, unique=True))
+    blank = draw(st.sampled_from(tape))
+    inputs = [s for s in tape if s != blank and draw(st.booleans())]
+    targets = st.tuples(st.sampled_from(states), st.sampled_from(tape), st.sampled_from("LR"))
+    working = {(q, s): draw(targets) for q in states if q not in (accept, reject) for s in tape}
+    halting = {(q, s): draw(targets) for q in (accept, reject) for s in tape if draw(st.booleans())}
+    ws = st.sampled_from(["", " ", "\t", "  "])
+    sep = st.sampled_from([" ", "\t", "  "])
+    headers = {"states": states, "input": inputs, "tape": tape, "blank": [blank],
+               "start": [start], "accept": [accept], "reject": [reject]}
+    lines = [f"{draw(ws)}{key}{draw(ws)}:" + "".join(draw(sep) + t for t in tokens) + draw(ws)
+             for key, tokens in headers.items()]
+    for (q, s), (q2, s2, move) in {**working, **halting}.items():
+        parts = (q, ",", s, "->", q2, ",", s2, ",", move)
+        lines.append("".join(draw(ws) + part for part in parts) + draw(ws))
+    lines = [line + draw(st.sampled_from(["", "  # note", "#x: y -> z, 0, L"]))
+             for line in draw(st.permutations(lines))]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "# states: x", "  "]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    desc = dict(states=frozenset(states), input_alphabet=frozenset(inputs),
+                tape_alphabet=frozenset(tape), blank=blank, transitions=working,
+                start=start, accept=accept, reject=reject)
+    return "\n".join(lines), desc
+
+
+@given(described_machines())
+def test_description_round_trips_through_the_parser(described):
+    text, desc = described
+    m = parse_tm(text)
+    assert {name: getattr(m, name) for name in desc} == desc
+
+
 @given(machines())
 def test_zipper_step_matches_dict_tape_reference(machine):
     m, word = machine
