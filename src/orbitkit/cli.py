@@ -14,7 +14,9 @@ line goes to stderr.  Every file argument accepts ``-`` for stdin.
 
 Exit codes: 0 = a verdict was produced (Unknown included), 1 = input
 error, 2 = internal invariant violation (any ``RuntimeError``, reported
-as ``internal check failed: ...`` on stderr).
+as ``internal check failed: ...`` on stderr).  Each command reads and
+parses all of its input before it prints its first line, so an input
+error prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ _INPUT_ERRORS = (
     CliInputError,
     PolyParseError,
     dynamics.PointParseError,
-    dynamics.MalformedPointError,
     life.RleParseError,
     lifepoly.OutOfQuadrantError,
     turing.TmError,
@@ -58,14 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _integer(text: str) -> int:
+    """argparse type: an optional ``-`` and ASCII digits, nothing else."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _at_least(minimum: int):
     """argparse type: an integer of at least ``minimum``, for budgets and counts."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _integer(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
         return value
@@ -74,8 +80,10 @@ def _at_least(minimum: int):
 
 
 def _unit_interval(text: str) -> float:
-    """argparse type: a finite number in [0, 1], for probabilities."""
+    """argparse type: a finite number in [0, 1], for probabilities, in ASCII."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
@@ -202,20 +210,17 @@ def cmd_tm(args) -> int:
 def cmd_orbit(args) -> int:
     if args.point is not None and args.translate:
         raise CliInputError("--translate only applies to --encode")
-    print(f"command={args.command}")
-    extra_lines = []
+    text, digest = _read_text(args.encode if args.point is None else args.point)
+    head_lines = [f"command={args.command}", digest]
     if args.point is not None:
-        text, digest = _read_text(args.point)
-        print(digest)
         point = dynamics.parse_point(text)
+        extra_lines = []
     else:
-        text, digest = _read_text(args.encode)
-        print(digest)
         config = life.parse_rle(text)
         if args.translate:
             config = life.translate(config, args.translate[0], args.translate[1])
         safe = "true" if lifepoly.quadrant_safe(config) else "false"
-        extra_lines.append(f"quadrant_safe={safe}")
+        extra_lines = [f"quadrant_safe={safe}"]
         point = lifepoly.encode(config)
     maps = []
     for spec in args.map:
@@ -223,9 +228,9 @@ def cmd_orbit(args) -> int:
             maps.append(lifepoly.build_gol_map())
         else:
             text, digest = _read_text(spec)
-            print(digest)
+            head_lines.append(digest)
             maps.append(parse_component_map(text))
-    for line in extra_lines:
+    for line in head_lines + extra_lines:
         print(line)
     print(f"generators={len(maps)} support={len(point)}")
     if len(maps) == 1 and not args.closure:
@@ -300,7 +305,7 @@ def _build_parser() -> _Parser:
     src = oc.add_mutually_exclusive_group(required=True)
     src.add_argument("--point", help="sparse point file in index:value format")
     src.add_argument("--encode", help="RLE pattern file to encode as a point")
-    oc.add_argument("--translate", nargs=2, type=int, metavar=("DX", "DY"),
+    oc.add_argument("--translate", nargs=2, type=_integer, metavar=("DX", "DY"),
                     help="translate the pattern before encoding")
     oc.add_argument("--map", action="append", required=True,
                     help="'gol' or a component-map file; repeat for several generators")
@@ -315,7 +320,7 @@ def _build_parser() -> _Parser:
     vf.add_argument("--trials", type=_at_least(0), default=1000)
     vf.add_argument("--size", type=_at_least(1), default=16)
     vf.add_argument("--density", type=_unit_interval, default=0.3)
-    vf.add_argument("--seed", type=int, default=42)
+    vf.add_argument("--seed", type=_integer, default=42)
     vf.add_argument("--corrupt", action="store_true",
                     help="negative control: run with a deliberately broken rule")
     vf.set_defaults(func=cmd_verify, command="verify")

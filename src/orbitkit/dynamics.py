@@ -33,7 +33,6 @@ from .polymap import Polynomial, constant
 __all__ = [
     "FiniteComponentMap",
     "GridRuleMap",
-    "MalformedPointError",
     "NEIGHBOR_OFFSETS",
     "PairingSpec",
     "PointParseError",
@@ -56,10 +55,6 @@ _SCATTER = tuple((-da, -db, 1 << i) for i, (da, db) in enumerate(_OFFSETS9))
 
 class PointParseError(ValueError):
     """Raised when sparse-point text does not match the ``index:value`` format."""
-
-
-class MalformedPointError(ValueError):
-    """Raised when a grid-rule map meets a coordinate outside its pairing's image."""
 
 
 class SparsePoint:
@@ -164,7 +159,8 @@ class PairingSpec:
 
     ``forward`` must return natural ``int`` indexes, which grid-rule
     application stores unchecked; ``inverse`` must raise
-    :class:`ValueError` for indexes outside the image of ``forward``.
+    :class:`ValueError` for indexes outside the image of ``forward``, and
+    :meth:`GridRuleMap.apply` lets that error propagate unchanged.
     """
 
     name: str
@@ -272,15 +268,7 @@ class GridRuleMap:
     def apply(self, x: SparsePoint) -> SparsePoint:
         inverse = self._pairing.inverse
         forward = self._pairing.forward
-        cells: dict[tuple[int, int], int] = {}
-        for idx, value in x.items():
-            try:
-                cell = inverse(idx)
-            except ValueError as exc:
-                raise MalformedPointError(
-                    f"coordinate {idx} is not in the image of pairing '{self._pairing.name}'"
-                ) from exc
-            cells[cell] = value
+        cells = {inverse(idx): value for idx, value in x.items()}
         masks: dict[tuple[int, int], int] = {}
         get = masks.get
         for a, b in cells:

@@ -21,18 +21,21 @@ no successor: :func:`tm_step` returns None from it, and
 on cell 0; moving left from cell 0 leaves the head in place (the write
 and state change still happen).
 
-A :class:`Configuration` keeps its tape as a persistent zipper of shared
-cons cells plus an XOR fingerprint of its non-blank cells, so
-:func:`tm_step` allocates O(1) cells and hashing a configuration costs
-O(1), whatever the tape length.  Successive configurations share all but
-a few cells, so storing every state of a walk costs O(1) memory per state.
+``Configuration(state, tape, head, blank)`` is the one checking
+constructor of a configuration; it drops blank cells, so a written blank
+and an unwritten cell give the same configuration.  A configuration keeps
+its tape as a persistent zipper of shared cons cells plus an XOR
+fingerprint of its non-blank cells, so :func:`tm_step` allocates O(1)
+cells and hashing a configuration costs O(1), whatever the tape length.
+Successive configurations share all but a few cells, so storing every
+state of a walk costs O(1) memory per state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Configuration",
@@ -41,11 +44,9 @@ __all__ = [
     "TmParseError",
     "TmValidationError",
     "initial_config",
-    "make_config",
     "parse_tm",
     "parse_word",
     "step_fn",
-    "tape_symbol",
     "tm_step",
     "trajectory",
     "validate_tm",
@@ -82,6 +83,11 @@ _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
 class Configuration:
     """Machine state, tape contents, and head position; immutable.
 
+    ``Configuration(state, tape, head, blank)`` is the one checking
+    constructor: ``tape`` is a mapping or (cell, symbol) pairs, every cell
+    and the head must be natural numbers, and cells holding ``blank`` are
+    dropped.  The blank itself is not kept.
+
     The tape is a zipper of persistent cons lists.  ``_left`` holds cells
     head-1, ..., 0 (blanks as None), so its length is exactly ``head``;
     ``_right`` holds cells head, head+1, ... up to the last non-blank cell
@@ -98,13 +104,15 @@ class Configuration:
 
     __slots__ = ("_state", "_head", "_left", "_right", "_fp")
 
-    def __init__(self, state: str, tape: Iterable, head: int):
-        cells = dict(tape)
+    def __init__(self, state: str, tape: Union[Mapping[int, str], Iterable], head: int, blank: str):
         if head < 0:
             raise TmError(f"head position must be a natural number, got {head}")
-        for cell in cells:
+        cells = {}
+        for cell, symbol in dict(tape).items():
             if cell < 0:
                 raise TmError(f"tape cell must be a natural number, got {cell}")
+            if symbol != blank:
+                cells[cell] = symbol
         left = right = _NIL
         for cell in range(head):
             left = (cells.get(cell), left)
@@ -157,21 +165,6 @@ def _configuration(state: str, head: int, left: tuple, right: tuple, fp: int) ->
     c = Configuration.__new__(Configuration)
     c._state, c._head, c._left, c._right, c._fp = state, head, left, right, fp
     return c
-
-
-def make_config(state: str, tape: Mapping[int, str], head: int, blank: str) -> Configuration:
-    """Normalize a tape mapping into a Configuration (blanks dropped)."""
-    for cell in tape:
-        if cell < 0:
-            raise TmError(f"tape cell must be a natural number, got {cell}")
-    return Configuration(state, ((c, s) for c, s in tape.items() if s != blank), head)
-
-
-def tape_symbol(config: Configuration, cell: int, blank: str) -> str:
-    for c, s in config.tape:
-        if c == cell:
-            return s
-    return blank
 
 
 def validate_tm(m: TMDesc) -> None:
@@ -272,17 +265,15 @@ def parse_word(text: str, m: TMDesc) -> list[str]:
     """Interpret CLI input text as a word over the input alphabet.
 
     Whitespace-separated tokens are taken as symbols; a single unbroken
-    token that is not itself a symbol is split into characters.
+    token that is not itself a symbol is split into characters.  Every
+    symbol must be in the input alphabet.
     """
-    text = text.strip()
-    if not text:
-        return []
     tokens = text.split()
-    if len(tokens) > 1 or tokens[0] in m.input_alphabet:
-        return tokens
-    if all(ch in m.input_alphabet for ch in tokens[0]):
-        return list(tokens[0])
-    raise TmError(f"cannot read {text!r} as a word over the input alphabet")
+    if len(tokens) == 1 and tokens[0] not in m.input_alphabet:
+        tokens = list(tokens[0])
+    if not all(symbol in m.input_alphabet for symbol in tokens):
+        raise TmError(f"cannot read {text.strip()!r} as a word over the input alphabet")
+    return tokens
 
 
 def initial_config(m: TMDesc, word: Sequence[str]) -> Configuration:
@@ -290,7 +281,7 @@ def initial_config(m: TMDesc, word: Sequence[str]) -> Configuration:
     for symbol in word:
         if symbol not in m.input_alphabet:
             raise TmError(f"input symbol '{symbol}' is not in the input alphabet")
-    return make_config(m.start, dict(enumerate(word)), 0, m.blank)
+    return Configuration(m.start, enumerate(word), 0, m.blank)
 
 
 def tm_step(m: TMDesc, c: Configuration) -> Optional[Configuration]:

@@ -346,6 +346,11 @@ def test_walltime_goes_to_stderr(blinker_file, capsys):
         ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--closure", "--max-points", "0"],
         ["life", "run", "{rle}", "--steps", "-1"],
         ["verify", "--trials", "-1"],
+        ["verify", "--trials", "1_0"],
+        ["tm", "run", "{tm}", "--budget", "٣"],
+        ["life", "run", "{rle}", "--steps", "+2"],
+        ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--translate", "+1", "1"],
+        ["orbit", "check", "--encode", "{rle}", "--map", "gol", "--translate", "1", "٢"],
     ],
 )
 def test_out_of_range_budget_is_usage_error(args, tmp_path, blinker_file, capsys):
@@ -370,6 +375,11 @@ def test_out_of_range_budget_is_usage_error(args, tmp_path, blinker_file, capsys
         ["verify", "--density", "-0.1"],
         ["verify", "--density", "1.5"],
         ["verify", "--density", "dense"],
+        ["verify", "--size", "+4"],
+        ["verify", "--seed", "٧"],
+        ["verify", "--seed", "1_0"],
+        ["verify", "--density", "٠.٣"],
+        ["verify", "--density", "0.3_0"],
     ],
 )
 def test_out_of_range_verify_argument_is_usage_error(args, capsys):
@@ -386,6 +396,20 @@ def test_verify_accepts_the_range_ends(capsys):
         code, out, _ = run_cli(["verify", "--trials", "3", *args], capsys)
         assert code == 0
         assert "failures=0 passes=3" in out
+
+
+def test_negative_seed_and_translate_are_read(tmp_path, capsys):
+    code, out, _ = run_cli(["verify", "--trials", "2", "--seed", "-5"], capsys)
+    assert code == 0
+    assert "seed=-5" in out
+    p = tmp_path / "shifted.rle"
+    p.write_text("x = 5, y = 1\n2b3o!")  # a blinker on columns 2-4
+    code, out, _ = run_cli(
+        ["orbit", "check", "--encode", str(p), "--map", "gol", "--translate", "-1", "2"], capsys
+    )
+    assert code == 0
+    assert "quadrant_safe=true" in out
+    assert "verdict=stable orbit_size=2 preperiod=0 period=2" in out
 
 
 # sha256 of the whole stdout; the rule text and report lines are a fixed contract
@@ -523,3 +547,48 @@ def test_component_map_stdout_bytes_and_exit_code_are_pinned(
     code, out, _ = run_cli(["orbit", "check", *args], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BAD_MAP = "0: x0 -\n"
+DUP_MAP = "0: x1\n0: x0\n"
+POINT = ["orbit", "check", "--point", "p.pt", "--map"]
+
+
+# every input is read and parsed before the first report line, so no error leaves
+# partial stdout; the files are written to the work dir, p.pt holding "0:1"
+@pytest.mark.parametrize(
+    "files, args",
+    [
+        ({"m.tm": SCANNER.replace("tape: 0 1 _", "tape: 0 1")}, ["tm", "run", "m.tm"]),
+        ({"m.tm": SCANNER.replace("input: 0 1", "input: 0 1 2")}, ["tm", "run", "m.tm"]),
+        ({"m.tm": SCANNER.replace("qr, 0, L", "qr, 0, X")}, ["tm", "run", "m.tm"]),
+        ({"m.tm": SCANNER.replace("start: q", "start: q qa")}, ["tm", "run", "m.tm"]),
+        ({"m.tm": SCANNER}, ["tm", "run", "m.tm", "--input", "0 _"]),
+        ({"m.tm": SCANNER}, ["tm", "periodicity", "m.tm", "--input", "0 x"]),
+        ({"s.rle": "x = 5, y = 1\n3o2!"}, ["life", "run", "s.rle"]),
+        ({"s.rle": "x = 5, y = 1\n3o2!"}, ["orbit", "check", "--encode", "s.rle", "--map", "gol"]),
+        ({"s.rle": BLINKER_RLE},
+         ["orbit", "check", "--encode", "s.rle", "--map", "gol", "--translate", "-1", "0"]),
+        ({"p.pt": "0:1 0:2"}, ["orbit", "check", "--point", "p.pt", "--map", "gol"]),
+        ({"m.map": BAD_MAP}, [*POINT, "m.map"]),
+        ({"m.map": DUP_MAP}, [*POINT, "m.map"]),
+        ({"m.map": DUP_MAP}, [*POINT, "gol", "--map", "m.map"]),
+        ({"s.rle": BLINKER_RLE, "m.map": BAD_MAP},
+         ["orbit", "check", "--encode", "s.rle", "--map", "m.map"]),
+    ],
+    ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
+         "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
+         "encode-rle-count-before-end", "encode-off-quadrant", "duplicate-point-index",
+         "map-dangling-minus", "map-duplicate-coordinate", "second-map-duplicate-coordinate",
+         "encode-then-bad-map"],
+)
+def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pt").write_text("0:1\n")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -12,11 +12,9 @@ from orbitkit.turing import (
     TmParseError,
     TmValidationError,
     initial_config,
-    make_config,
     parse_tm,
     parse_word,
     step_fn,
-    tape_symbol,
     tm_step,
     trajectory,
 )
@@ -115,7 +113,7 @@ def test_parse_two_state_looper():
 def test_initial_config_empty_word():
     m = parse_tm(RIGHT_MOVER)
     c = initial_config(m, [])
-    assert c == Configuration(state="q", tape=(), head=0)
+    assert c == Configuration(state="q", tape=(), head=0, blank="_")
 
 
 def test_initial_config_places_word_left():
@@ -135,7 +133,7 @@ def test_halting_state_absorbs():
     m = parse_tm(ACCEPT_ON_START)
     assert tm_step(m, initial_config(m, [])) is None
     # regardless of tape and head
-    weird = make_config("qa", {5: "_"}, 3, m.blank)
+    weird = Configuration("qa", {5: "_"}, 3, m.blank)
     assert tm_step(m, weird) is None
 
 
@@ -145,19 +143,19 @@ def test_left_edge_clamp_keeps_write_and_state_change():
     assert isinstance(out, Configuration)
     assert out.head == 0  # attempted to move left from cell 0
     assert out.state == "p"
-    assert tape_symbol(out, 0, m.blank) == "1"
+    assert dict(out.tape).get(0, m.blank) == "1"
 
 
 def test_right_mover_single_step():
     m = parse_tm(RIGHT_MOVER)
     out = tm_step(m, initial_config(m, []))
-    assert out == Configuration(state="q", tape=(), head=1)
+    assert out == Configuration(state="q", tape=(), head=1, blank="_")
 
 
 def test_step_rejects_unknown_state():
     m = parse_tm(RIGHT_MOVER)
     with pytest.raises(TmError):
-        tm_step(m, Configuration(state="ghost", tape=(), head=0))
+        tm_step(m, Configuration(state="ghost", tape=(), head=0, blank="_"))
 
 
 def test_trajectory_accept_on_start_has_length_one():
@@ -211,17 +209,57 @@ def test_determinism():
 
 
 def test_configuration_normalization_drops_blanks():
-    a = make_config("q", {0: "0", 1: "_", 7: "_"}, 0, "_")
-    b = make_config("q", {0: "0"}, 0, "_")
+    a = Configuration("q", {0: "0", 1: "_", 7: "_"}, 0, "_")
+    b = Configuration("q", {0: "0"}, 0, "_")
     assert a == b
     assert hash(a) == hash(b)
 
 
-def test_make_config_validates_positions():
+def test_configuration_validates_positions():
     with pytest.raises(TmError):
-        make_config("q", {-1: "0"}, 0, "_")
+        Configuration("q", {-1: "0"}, 0, "_")
     with pytest.raises(TmError):
-        make_config("q", {}, -2, "_")
+        Configuration("q", {}, -2, "_")
+    with pytest.raises(TmError):
+        Configuration("q", [(2, "0"), (-3, "_")], 1, "_")
+
+
+@given(
+    st.dictionaries(st.integers(0, 30), st.sampled_from("01")),
+    st.sets(st.integers(0, 40)),
+    st.integers(0, 40),
+    st.booleans(),
+)
+def test_written_blanks_are_dropped(symbols, blanks, head, as_pairs):
+    written = {cell: "_" for cell in blanks} | symbols
+    tape = sorted(written.items(), reverse=True) if as_pairs else written
+    a = Configuration("q", tape, head, "_")
+    b = Configuration("q", symbols, head, "_")
+    assert a == b and hash(a) == hash(b)
+    assert a.tape == b.tape == tuple(sorted(symbols.items()))
+
+
+FLIPPER = """
+states: q p qa qr
+input: 1
+tape: 1 _
+blank: _
+start: q
+accept: qa
+reject: qr
+q, _ -> p, 1, L
+q, 1 -> p, _, L
+p, 1 -> q, _, L
+p, _ -> q, 1, L
+"""
+
+
+@pytest.mark.parametrize("detect", [detect_hashset, detect_brent])
+def test_a_written_blank_start_is_on_the_cycle(detect):
+    # the second step writes the blank back, which is the start configuration again
+    m = parse_tm(FLIPPER)
+    start = Configuration("q", {0: "_"}, 0, "_")
+    assert detect(step_fn(m), start, 100) == Periodic(0, 2)
 
 
 def test_parse_word():
@@ -284,7 +322,7 @@ def test_halting_state_rules_are_ignored():
     text = TWO_STATE_LOOPER + "qa, 0 -> a, 0, L\n"
     m = parse_tm(text)
     assert ("qa", "0") not in m.transitions
-    assert tm_step(m, make_config("qa", {}, 0, "_")) is None
+    assert tm_step(m, Configuration("qa", {}, 0, "_")) is None
 
 
 @st.composite
@@ -365,8 +403,8 @@ def test_zipper_step_matches_dict_tape_reference(machine):
         assert (c.state, c.head) == (state, head)
         assert c.tape == tuple(sorted(tape.items()))
         for cell in range(max([head, *tape]) + 2):
-            assert tape_symbol(c, cell, m.blank) == tape.get(cell, m.blank)
-        same = make_config(state, tape, head, m.blank)
+            assert dict(c.tape).get(cell, m.blank) == tape.get(cell, m.blank)
+        same = Configuration(state, tape, head, m.blank)
         assert c == same and hash(c) == hash(same)
 
 
@@ -407,17 +445,17 @@ def test_hashset_walk_of_a_right_writer_stores_linear_memory():
 
 
 def test_equality_is_exact_even_when_fingerprints_collide():
-    a = make_config("q", {0: "0", 3: "1"}, 1, "_")
-    b = make_config("q", {0: "1", 3: "1"}, 1, "_")
+    a = Configuration("q", {0: "0", 3: "1"}, 1, "_")
+    b = Configuration("q", {0: "1", 3: "1"}, 1, "_")
     b._fp = a._fp
     assert a != b
-    c = Configuration("q", ((3, "1"), (0, "0")), 1)
+    c = Configuration("q", ((3, "1"), (0, "0")), 1, "_")
     assert a == c and hash(a) == hash(c)
     assert repr(c) == "Configuration(state='q', tape=((0, '0'), (3, '1')), head=1)"
 
 
 def test_configuration_is_immutable():
-    c = make_config("q", {0: "0"}, 0, "_")
+    c = Configuration("q", {0: "0"}, 0, "_")
     with pytest.raises(AttributeError):
         c.state = "p"
     with pytest.raises(AttributeError):
