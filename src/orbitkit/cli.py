@@ -15,8 +15,8 @@ line goes to stderr.  Every file argument accepts ``-`` for stdin.
 Exit codes: 0 = a verdict was produced (Unknown included), 1 = input
 error, 2 = internal invariant violation (any ``RuntimeError``, reported
 as ``internal check failed: ...`` on stderr).  Each command reads and
-parses all of its input before it prints its first line, so an input
-error prints nothing on stdout.
+parses all of its input, and writes its ``--out`` file, before it prints
+its first line, so an input or output error prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -135,24 +135,26 @@ def parse_component_map(text: str) -> FiniteComponentMap:
 def cmd_life(args) -> int:
     text, digest = _read_text(args.pattern)
     config = life.parse_rle(text)
-    print(f"command={args.command}")
-    print(digest)
+    # buffered, so an unwritable --out fails before the first line is printed
+    lines = [f"command={args.command}", digest]
     current = config
     for k in range(1, args.steps + 1):
         current = life.step(current)
         if args.trace:
-            print(f"step={k} population={len(current)} bbox={_bbox_str(current)}")
-    print(f"steps={args.steps} population={len(current)} bbox={_bbox_str(current)}")
+            lines.append(f"step={k} population={len(current)} bbox={_bbox_str(current)}")
+    lines.append(f"steps={args.steps} population={len(current)} bbox={_bbox_str(current)}")
     if args.grid:
         box = life.bounding_box(current)
-        print(f"origin={box[0]},{box[1]}" if box else "origin=none")
-        print(life.render(current))
+        lines.append(f"origin={box[0]},{box[1]}" if box else "origin=none")
+        lines.append(life.render(current))
     rle = life.emit_rle(current)
     if args.out != "-":
         Path(args.out).write_text(rle + "\n")
-        print(f"out={args.out}")
+        lines.append(f"out={args.out}")
     else:
-        print(rle)
+        lines.append(rle)
+    for line in lines:
+        print(line)
     return 0
 
 

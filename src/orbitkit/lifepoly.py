@@ -104,20 +104,42 @@ def pattern_sum_text() -> str:
     return " + ".join(pattern_product_text(p) for p in life_patterns())
 
 
+@lru_cache(maxsize=1)
+def _pattern_tree() -> list:
+    """:func:`life_patterns` as a bit trie: a node is ``[dead, live]``, the
+    nodes below it for the next variable's bit 0 and 1, or None where no
+    pattern continues; the depth-9 leaves are ``[None, None]``."""
+    root = [None, None]
+    for bits in life_patterns():
+        node = root
+        for bit in bits:
+            if node[bit] is None:
+                node[bit] = [None, None]
+            node = node[bit]
+    return root
+
+
 def evaluate_pattern_sum(values: Sequence[int]) -> int:
     """Evaluate the un-expanded 140-product form directly, factor by factor.
 
-    Independent of the expanded canonical polynomial; used to cross-check it.
+    Walks a bit trie of the patterns one variable at a time, so the product
+    of a shared prefix of factors is computed once, and drops a branch as
+    soon as its product is 0, which no later factor can change.  Exact on
+    every integer input, and independent of the expanded canonical
+    polynomial; used to cross-check it.  ``values`` holds x0..x8.
     """
-    total = 0
-    for bits in life_patterns():
-        prod = 1
-        for bit, v in zip(bits, values):
-            prod *= v if bit else 1 - v
-            if prod == 0:
-                break
-        total += prod
-    return total
+    if len(values) != 9:
+        raise ValueError(f"expected nine values x0..x8, got {len(values)}")
+    level = [(1, _pattern_tree())]
+    for v in values:
+        below = []
+        for prod, (dead, live) in level:
+            if dead is not None and (p := prod * (1 - v)):
+                below.append((p, dead))
+            if live is not None and (p := prod * v):
+                below.append((p, live))
+        level = below
+    return sum(prod for prod, _ in level)
 
 
 def expand_patterns(patterns) -> Polynomial:

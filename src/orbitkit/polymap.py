@@ -10,6 +10,17 @@ that, so polynomials work as dict keys and set members.
 Coefficients and evaluation use Python's arbitrary-precision integers,
 so iterating polynomial maps never overflows or rounds.
 
+Evaluation walks a prefix tree of the canonical monomials: a node keyed
+``(var, exp)`` extends its parent's monomial by ``var**exp`` and holds
+the coefficient of the monomial that ends there.  A product shared by
+several monomials is computed once, and a variable that reads 0 prunes
+every monomial below it, so a sparse assignment pays only for the terms
+it can switch on.  The tree is built without recursion on the first
+``evaluate`` and cached on the polynomial; it takes no part in equality
+or hashing.  Two threads that race on the first call each build an equal
+tree and the last store wins; a tree is complete before it is stored and
+never mutated after, so a reader never sees a partial one.
+
 Text format (round-trippable): terms sorted by total degree, then by
 variable index, e.g. ``-1*x0^2*x1 + 3*x4 + 2``.
 """
@@ -49,6 +60,23 @@ def _normalize_monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
+def _monomial_tree(terms: Mapping[Monomial, int]) -> list:
+    """Prefix tree of canonical monomials.  A node is ``[coeff, children]``,
+    children mapping ``(var, exp)`` to the node one factor longer; the root
+    holds the constant term."""
+    root = [0, {}]
+    for mono, coeff in terms.items():
+        node = root
+        for key in mono:
+            children = node[1]
+            child = children.get(key)
+            if child is None:
+                child = children[key] = [0, {}]
+            node = child
+        node[0] = coeff
+    return root
+
+
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -63,7 +91,7 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable sparse polynomial in variables x0, x1, ... over the integers."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_tree")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict[Monomial, int] = {}
@@ -80,6 +108,7 @@ class Polynomial:
                     data.pop(key, None)
         self._terms = data
         self._hash = None
+        self._tree = None
 
     @classmethod
     def _raw(cls, data: dict) -> "Polynomial":
@@ -87,6 +116,7 @@ class Polynomial:
         p = cls.__new__(cls)
         p._terms = data
         p._hash = None
+        p._tree = None
         return p
 
     @classmethod
@@ -179,20 +209,37 @@ class Polynomial:
     def evaluate(self, assignment) -> int:
         """Evaluate at an assignment: any mapping var -> int with a ``get``
         method, such as a dict or a ``SparsePoint``; missing vars read as 0.
-        A sequence of values is passed as ``dict(enumerate(values))``."""
+        A sequence of values is passed as ``dict(enumerate(values))``.
+
+        Walks the monomial prefix tree (see the module docstring) with an
+        explicit stack, so a monomial of any length evaluates without
+        recursion.  A variable that reads 0 skips its subtree, so only
+        variables below a nonzero prefix product are read, and each prefix
+        product is computed once.  The tree is built on the first call and
+        cached; racing threads may each build it, but every stored tree is
+        complete and never changes."""
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = _monomial_tree(self._terms)
         get = assignment.get
-        total = 0
-        for mono, coeff in self._terms.items():
-            v = coeff
-            for var, exp in mono:
-                base = get(var, 0)
-                if not base:
-                    v = 0
-                    break
-                if base != 1:
-                    v *= base ** exp if exp > 1 else base
-            total += v
-        return total
+        total, children = tree
+        prod = 1
+        stack = []
+        while True:
+            for (var, exp), (coeff, below) in children.items():
+                v = get(var, 0)
+                if v:
+                    if exp > 1:
+                        v **= exp
+                    if prod != 1:  # at the root, and always on 0/1 inputs
+                        v *= prod
+                    if coeff:
+                        total += coeff * v
+                    if below:
+                        stack.append((v, below))
+            if not stack:
+                return total
+            prod, children = stack.pop()
 
     def substitute(self, mapping: Mapping[int, Union["Polynomial", int]]) -> "Polynomial":
         """Replace mapped variables by polynomials; unmapped variables stand

@@ -2,7 +2,7 @@
 
 from orbitkit.cycles import Exhausted, Periodic, Terminated
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
-from orbitkit.lifepoly import pair, unpair
+from orbitkit.lifepoly import life_patterns, pair, unpair
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -134,3 +134,33 @@ def reference_component_apply(m, point):
     for coord, poly in m.components.items():
         values[coord] = poly.evaluate(point)
     return SparsePoint(values)
+
+
+def reference_evaluate(poly, assignment):
+    """The flat evaluation loop: every term's factors read in turn, a term
+    dropped at its first zero variable; independent of the monomial tree
+    behind ``Polynomial.evaluate``."""
+    get = assignment.get
+    total = 0
+    for mono, coeff in poly.terms.items():
+        v = coeff
+        for var, exp in mono:
+            base = get(var, 0)
+            if not base:
+                v = 0
+                break
+            v *= base**exp
+        total += v
+    return total
+
+
+def reference_pattern_sum(values):
+    """The 140 Life pattern products of ``(x_i)`` and ``(1 - x_i)`` factors,
+    each multiplied out literally and summed."""
+    total = 0
+    for bits in life_patterns():
+        prod = 1
+        for bit, v in zip(bits, values):
+            prod *= v if bit else 1 - v
+        total += prod
+    return total

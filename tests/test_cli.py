@@ -67,6 +67,24 @@ def test_life_step_glider_four_times_translates(tmp_path, capsys):
     assert "bbox=1,1,3,3" in out
 
 
+# sha256 of the whole stdout of a run that writes its RLE to --out
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["step"], "0eccd5392302e0f2958fd2b91e2e3726ffaf13bef8d0f54f3dc4db846dea2c83"),
+        (["run", "--steps", "3", "--trace", "--grid"],
+         "d48879297a0591f3e90bf813d735eef874bb71d3e486d777d51eb6a29fdbf44e"),
+    ],
+)
+def test_life_out_stdout_bytes_are_pinned(args, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.rle").write_text(BLINKER_RLE)
+    code, out, _ = run_cli(["life", args[0], "s.rle", *args[1:], "--out", "out.rle"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert (tmp_path / "out.rle").read_text() == "x = 1, y = 3\no$o$o!\n"
+
+
 def test_life_trace_and_grid(blinker_file, capsys):
     code, out, _ = run_cli(
         ["life", "run", blinker_file, "--steps", "2", "--trace", "--grid"], capsys
@@ -575,12 +593,14 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
         ({"m.map": DUP_MAP}, [*POINT, "gol", "--map", "m.map"]),
         ({"s.rle": BLINKER_RLE, "m.map": BAD_MAP},
          ["orbit", "check", "--encode", "s.rle", "--map", "m.map"]),
+        ({"s.rle": BLINKER_RLE}, ["life", "step", "s.rle", "--out", "."]),
+        ({"s.rle": BLINKER_RLE}, ["life", "run", "s.rle", "--steps", "2", "--trace", "--out", "."]),
     ],
     ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
          "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
          "encode-rle-count-before-end", "encode-off-quadrant", "duplicate-point-index",
          "map-dangling-minus", "map-duplicate-coordinate", "second-map-duplicate-coordinate",
-         "encode-then-bad-map"],
+         "encode-then-bad-map", "life-step-out-is-a-directory", "life-run-out-is-a-directory"],
 )
 def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbitkit.dynamics import SparsePoint
 from orbitkit.polymap import Polynomial, PolyParseError, constant, parse_poly, variable
+
+from helpers import reference_evaluate
 
 
 def indicator(bits):
@@ -27,6 +30,13 @@ def random_poly(rng, nvars=3, max_deg=3, max_terms=4, cmax=5):
 monomials = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), max_size=3)
 polys = st.lists(st.tuples(monomials, st.integers(-5, 5)), max_size=4).map(Polynomial)
 points = st.dictionaries(st.integers(0, 4), st.integers(-4, 4), max_size=4)
+
+# few variables, so terms often share a prefix; the empty monomial is a constant term;
+# assignments read variables the polynomial lacks and lack variables it reads
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+tree_monomials = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=4)
+tree_polys = st.lists(st.tuples(tree_monomials, big_ints), max_size=8).map(Polynomial)
+tree_points = st.dictionaries(st.integers(0, 5), big_ints, max_size=6)
 
 
 def test_add_inverse_cancels_to_zero():
@@ -75,6 +85,24 @@ def test_evaluate_defaults_missing_variables_to_zero():
     assert p.evaluate({0: 3}) == 3
     assert p.evaluate({}) == 0
     assert p.evaluate({5: -1, 9: 100}) == -2
+
+
+@given(tree_polys, tree_points)
+def test_evaluate_matches_the_flat_reference_loop(p, a):
+    expected = reference_evaluate(p, a)
+    assert p.evaluate(a) == expected
+    assert p.evaluate(SparsePoint(a)) == expected
+    # the cached monomial tree takes no part in equality or hashing
+    fresh = Polynomial(p.terms)
+    assert fresh == p and hash(fresh) == hash(p)
+
+
+def test_a_long_monomial_evaluates_without_recursion():
+    p = Polynomial([(tuple((i, 1) for i in range(3000)), 1)]) + 1
+    ones = dict.fromkeys(range(3000), 1)
+    assert p.evaluate(ones) == 2
+    assert p.evaluate({**ones, 2999: 0}) == 1
+    assert p.evaluate(dict.fromkeys(range(3000), -2)) == 2**3000 + 1
 
 
 def test_substitute_binomial_square():
