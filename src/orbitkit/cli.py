@@ -10,7 +10,8 @@ Subcommands:
 
 Reports are ``key=value`` lines on stdout, one logical result per line.
 Stdout is byte-deterministic for fixed inputs and seed; the wall-time
-line goes to stderr.  Every file argument accepts ``-`` for stdin.
+line goes to stderr.  Every file argument accepts ``-`` for stdin, at
+most once per command; input is UTF-8 and ``sha256=`` hashes its bytes.
 
 Exit codes: 0 = a verdict was produced (Unknown included), 1 = input
 error, 2 = internal invariant violation (any ``RuntimeError``, reported
@@ -93,15 +94,16 @@ def _unit_interval(text: str) -> float:
 
 
 def _read_text(path: str) -> tuple[str, str]:
-    """Read a file (or stdin for ``-``) and return (text, digest report line)."""
+    """Read a file (or stdin for ``-``) as UTF-8 whatever the locale; return the text
+    and a report line with the sha256 of the raw bytes, line endings included."""
     if path == "-":
-        data = sys.stdin.read()
+        data = sys.stdin.buffer.read()
         name = "<stdin>"
     else:
-        data = Path(path).read_text()
+        data = Path(path).read_bytes()
         name = path
-    digest = hashlib.sha256(data.encode()).hexdigest()
-    return data, f"input={name} sha256={digest}"
+    digest = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8"), f"input={name} sha256={digest}"
 
 
 def _bbox_str(config) -> str:
@@ -212,7 +214,10 @@ def cmd_tm(args) -> int:
 def cmd_orbit(args) -> int:
     if args.point is not None and args.translate:
         raise CliInputError("--translate only applies to --encode")
-    text, digest = _read_text(args.encode if args.point is None else args.point)
+    source = args.encode if args.point is None else args.point
+    if [source, *args.map].count("-") > 1:
+        raise CliInputError("'-' (stdin) may be given only once")
+    text, digest = _read_text(source)
     head_lines = [f"command={args.command}", digest]
     if args.point is not None:
         point = dynamics.parse_point(text)

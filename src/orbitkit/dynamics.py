@@ -261,10 +261,6 @@ class GridRuleMap:
     def rule(self) -> Polynomial:
         return self._rule
 
-    @property
-    def pairing(self) -> PairingSpec:
-        return self._pairing
-
     def apply(self, x: SparsePoint) -> SparsePoint:
         inverse = self._pairing.inverse
         forward = self._pairing.forward

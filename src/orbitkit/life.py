@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "Cell",
@@ -18,7 +18,6 @@ __all__ = [
     "RleParseError",
     "bounding_box",
     "emit_rle",
-    "make_config",
     "neighbor_count",
     "neighbors",
     "parse_rle",
@@ -42,16 +41,6 @@ class RleParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-def make_config(cells: Iterable) -> LifeConfig:
-    out = set()
-    for cell in cells:
-        x, y = cell
-        if not isinstance(x, int) or not isinstance(y, int):
-            raise ValueError(f"cell coordinates must be integers, got {cell!r}")
-        out.add((x, y))
-    return frozenset(out)
 
 
 def neighbors(cell: Cell) -> Iterator[Cell]:

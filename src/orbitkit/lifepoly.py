@@ -8,7 +8,9 @@ rule polynomial whose value on any 0/1 neighborhood is the center's next
 state.  :func:`expand_patterns` sums any pattern set without multiplying
 polynomials, through the subset transform and 9-bit mask convention of
 :mod:`orbitkit.dynamics`; the Life rule and the ``verify --corrupt``
-control rule are both built this way.  A pairing bijection between
+control rule are both built this way, and the Life rule is checked on
+all 512 0/1 neighborhoods against B3/S23 (birth on 3 live neighbors,
+survival on 2 or 3) before it is used.  A pairing bijection between
 quadrant cells and natural numbers then turns grid configurations into
 finitely supported 0/1 points and a grid generation into one application
 of a :class:`~orbitkit.dynamics.GridRuleMap`.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from typing import Sequence
 
 from .dynamics import GridRuleMap, PairingSpec, SparsePoint, subset_transform
 from .life import LifeConfig
@@ -37,7 +38,6 @@ __all__ = [
     "cantor_pairing",
     "decode",
     "encode",
-    "evaluate_pattern_sum",
     "expand_patterns",
     "life_patterns",
     "pair",
@@ -104,44 +104,6 @@ def pattern_sum_text() -> str:
     return " + ".join(pattern_product_text(p) for p in life_patterns())
 
 
-@lru_cache(maxsize=1)
-def _pattern_tree() -> list:
-    """:func:`life_patterns` as a bit trie: a node is ``[dead, live]``, the
-    nodes below it for the next variable's bit 0 and 1, or None where no
-    pattern continues; the depth-9 leaves are ``[None, None]``."""
-    root = [None, None]
-    for bits in life_patterns():
-        node = root
-        for bit in bits:
-            if node[bit] is None:
-                node[bit] = [None, None]
-            node = node[bit]
-    return root
-
-
-def evaluate_pattern_sum(values: Sequence[int]) -> int:
-    """Evaluate the un-expanded 140-product form directly, factor by factor.
-
-    Walks a bit trie of the patterns one variable at a time, so the product
-    of a shared prefix of factors is computed once, and drops a branch as
-    soon as its product is 0, which no later factor can change.  Exact on
-    every integer input, and independent of the expanded canonical
-    polynomial; used to cross-check it.  ``values`` holds x0..x8.
-    """
-    if len(values) != 9:
-        raise ValueError(f"expected nine values x0..x8, got {len(values)}")
-    level = [(1, _pattern_tree())]
-    for v in values:
-        below = []
-        for prod, (dead, live) in level:
-            if dead is not None and (p := prod * (1 - v)):
-                below.append((p, dead))
-            if live is not None and (p := prod * v):
-                below.append((p, live))
-        level = below
-    return sum(prod for prod, _ in level)
-
-
 def expand_patterns(patterns) -> Polynomial:
     """Expanded sum of :func:`pattern_term` over ``patterns``; for distinct
     patterns, 1 exactly on them among the 512 0/1 inputs.  Each product is
@@ -161,13 +123,14 @@ def build_local_rule() -> Polynomial:
 
     The rule is :func:`expand_patterns` of :func:`life_patterns`, as the
     ``verify --corrupt`` control rule is of its 112 patterns.  Construction
-    cross-checks the expansion against the un-expanded product form on all
-    512 0/1 neighborhoods.
+    evaluates the expanded polynomial on all 512 0/1 neighborhoods and
+    checks each value against B3/S23, the rule the patterns are drawn from;
+    on those inputs the un-expanded product form takes the same values.
     """
     rule = expand_patterns(life_patterns())
     for bits in product((0, 1), repeat=9):
-        if rule.evaluate(dict(enumerate(bits))) != evaluate_pattern_sum(bits):
-            raise RuntimeError("expanded local rule disagrees with its pattern sum")
+        if rule.evaluate(dict(enumerate(bits))) != _next_center(bits):
+            raise RuntimeError(f"expanded local rule disagrees with B3/S23 at x0..x8 = {bits}")
     return rule
 
 

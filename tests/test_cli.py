@@ -1,8 +1,13 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitkit
 from orbitkit import life, lifepoly
 from orbitkit.cli import CliInputError, main, parse_component_map
 from orbitkit.dynamics import SparsePoint
@@ -16,6 +21,11 @@ def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def text_stdin(text):
+    # like sys.stdin: a text stream with the bytes under it in .buffer
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
 
 
 def body(out):
@@ -97,7 +107,7 @@ def test_life_trace_and_grid(blinker_file, capsys):
 
 
 def test_life_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(BLINKER_RLE))
+    monkeypatch.setattr("sys.stdin", text_stdin(BLINKER_RLE))
     code, out, _ = run_cli(["life", "run", "-", "--steps", "0"], capsys)
     assert code == 0
     assert "input=<stdin>" in out
@@ -301,13 +311,48 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
 
 
 def test_non_utf8_stdin_is_input_error(monkeypatch, capsys):
-    # the interpreter reads stdin with surrogateescape under a C/POSIX locale
+    # under a C/POSIX locale the interpreter's stdin text layer uses surrogateescape;
+    # the CLI reads the bytes beneath it and decodes them strictly
     stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="surrogateescape")
     monkeypatch.setattr("sys.stdin", stdin)
     code, _, err = run_cli(["life", "step", "-"], capsys)
     assert code == 1
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_digest_line_is_the_sha256_of_the_raw_bytes(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for raw in (b"12:1\r\n17:1\r\n23:1\r\n", b"12:1\n17:1\n23:1\n"):
+        (tmp_path / "p.pt").write_bytes(raw)
+        monkeypatch.setattr("sys.stdin", text_stdin(raw.decode()))
+        arg = "p.pt" if source == "file" else "-"
+        code, out, _ = run_cli(["orbit", "check", "--point", arg, "--map", "gol"], capsys)
+        assert code == 0
+        name = "p.pt" if source == "file" else "<stdin>"
+        assert body(out)[1] == f"input={name} sha256={hashlib.sha256(raw).hexdigest()}"
+        reports.append(body(out)[2:])
+    # CRLF changes the digest, not the parse
+    assert reports[0] == reports[1]
+    assert "verdict=stable orbit_size=2 preperiod=0 period=2" in reports[0]
+
+
+def test_input_is_decoded_as_utf8_under_the_c_locale(tmp_path):
+    (tmp_path / "p.pt").write_text("0:5\n")
+    raw = "# café\n0: -1*x0\n".encode()
+    (tmp_path / "flip.map").write_bytes(raw)
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "orbitkit", "orbit", "check", "--point", "p.pt", "--map", "flip.map"],
+        cwd=tmp_path, env=env, capture_output=True,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.decode("ascii").splitlines()
+    assert f"input=flip.map sha256={hashlib.sha256(raw).hexdigest()}" in lines
+    assert "verdict=stable orbit_size=2 preperiod=0 period=2" in lines
 
 
 def test_missing_file_is_input_error(capsys):
@@ -459,7 +504,7 @@ def test_poly_rule_stdout_bytes_are_pinned(args, digest, capsys):
 )
 def test_stdout_bytes_and_exit_code_are_pinned(args, stdin, exit_code, digest, monkeypatch, capsys):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", text_stdin(stdin))
     code, out, _ = run_cli(args, capsys)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -477,7 +522,9 @@ def test_translate_with_point_is_input_error_before_any_output(tmp_path, capsys)
 
 
 def test_internal_check_failure_exits_two_without_traceback(monkeypatch, capsys):
-    monkeypatch.setattr(lifepoly, "evaluate_pattern_sum", lambda bits: 7)
+    # an expansion that lost one pattern: the rule is 0 where Life gives 1
+    real_expand = lifepoly.expand_patterns
+    monkeypatch.setattr(lifepoly, "expand_patterns", lambda patterns: real_expand(patterns[1:]))
     lifepoly.build_local_rule.cache_clear()
     code, out, err = run_cli(["poly-rule"], capsys)
     assert code == 2
@@ -523,7 +570,7 @@ q, _ -> qa, 1, R
     ],
 )
 def test_tm_stdout_bytes_and_exit_code_are_pinned(args, digest, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(SCANNER))
+    monkeypatch.setattr("sys.stdin", text_stdin(SCANNER))
     code, out, _ = run_cli(["tm", *args], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -573,7 +620,8 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
 
 
 # every input is read and parsed before the first report line, so no error leaves
-# partial stdout; the files are written to the work dir, p.pt holding "0:1"
+# partial stdout; the files are written to the work dir, p.pt holding "0:1", except
+# "-", which is stdin (by default "0:1" too)
 @pytest.mark.parametrize(
     "files, args",
     [
@@ -595,18 +643,25 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
          ["orbit", "check", "--encode", "s.rle", "--map", "m.map"]),
         ({"s.rle": BLINKER_RLE}, ["life", "step", "s.rle", "--out", "."]),
         ({"s.rle": BLINKER_RLE}, ["life", "run", "s.rle", "--steps", "2", "--trace", "--out", "."]),
+        # a second '-' would read stdin empty and run the identity map
+        ({}, ["orbit", "check", "--point", "-", "--map", "-"]),
+        ({"-": BLINKER_RLE}, ["orbit", "check", "--encode", "-", "--map", "gol", "--map", "-"]),
+        ({"m.map": "0: x0\n"}, [*POINT, "-", "--map", "m.map", "--map", "-"]),
     ],
     ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
          "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
          "encode-rle-count-before-end", "encode-off-quadrant", "duplicate-point-index",
          "map-dangling-minus", "map-duplicate-coordinate", "second-map-duplicate-coordinate",
-         "encode-then-bad-map", "life-step-out-is-a-directory", "life-run-out-is-a-directory"],
+         "encode-then-bad-map", "life-step-out-is-a-directory", "life-run-out-is-a-directory",
+         "stdin-as-point-and-map", "stdin-as-pattern-and-map", "stdin-as-two-maps"],
 )
 def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", text_stdin(files.get("-", "0:1\n")))
     (tmp_path / "p.pt").write_text("0:1\n")
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if name != "-":
+            (tmp_path / name).write_text(text)
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""

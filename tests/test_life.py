@@ -189,9 +189,3 @@ def test_render():
     assert render(BLINKER) == "###"
     assert render(step(BLINKER)) == "#\n#\n#"
     assert render(frozenset()) == "(empty)"
-
-
-def test_make_config_validates():
-    assert life.make_config([(0, 0), (0, 0)]) == frozenset({(0, 0)})
-    with pytest.raises(ValueError):
-        life.make_config([(0.5, 1)])

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitkit import cli, life
+from orbitkit import cli, life, lifepoly
 from orbitkit.dynamics import SparsePoint, iterate
 from orbitkit.lifepoly import (
     NotAConfigurationError,
@@ -15,7 +16,6 @@ from orbitkit.lifepoly import (
     build_local_rule,
     decode,
     encode,
-    evaluate_pattern_sum,
     expand_patterns,
     life_patterns,
     pair,
@@ -111,28 +111,30 @@ def test_local_rule_probes():
 def test_expanded_and_pattern_sum_forms_agree():
     rule = build_local_rule()
     for bits in ALL_INPUTS:
-        assert rule.evaluate(dict(enumerate(bits))) == evaluate_pattern_sum(bits)
+        assert rule.evaluate(dict(enumerate(bits))) == reference_pattern_sum(bits)
     # also off the 0/1 cube, where both are ordinary integer polynomials
     rng = random.Random(11)
     for _ in range(20):
         values = tuple(rng.randint(-3, 3) for _ in range(9))
-        assert rule.evaluate(dict(enumerate(values))) == evaluate_pattern_sum(values)
+        assert rule.evaluate(dict(enumerate(values))) == reference_pattern_sum(values)
 
 
-def test_pattern_sum_matches_the_literal_products_on_the_cube():
-    for bits in ALL_INPUTS:
-        assert evaluate_pattern_sum(bits) == reference_pattern_sum(bits)
-
-
-@given(st.tuples(*[st.integers(-3, 3)] * 9))
-def test_pattern_sum_matches_the_literal_products_off_the_cube(values):
-    assert evaluate_pattern_sum(values) == reference_pattern_sum(values)
-
-
-def test_pattern_sum_takes_nine_values():
-    for values in ((0,) * 8, (0,) * 10):
-        with pytest.raises(ValueError):
-            evaluate_pattern_sum(values)
+def test_rule_check_catches_any_one_dropped_pattern(monkeypatch):
+    real_expand = lifepoly.expand_patterns
+    for dropped in random.Random(12).sample(life_patterns(), 10):
+        monkeypatch.setattr(
+            lifepoly, "expand_patterns",
+            lambda patterns, dropped=dropped: real_expand(p for p in patterns if p != dropped),
+        )
+        build_local_rule.cache_clear()
+        try:
+            # the dropped pattern is the only neighborhood where the rule is wrong
+            with pytest.raises(RuntimeError, match=re.escape(f"B3/S23 at x0..x8 = {dropped}")):
+                build_local_rule()
+        finally:
+            build_local_rule.cache_clear()
+    monkeypatch.undo()
+    assert len(build_local_rule().terms) == 466
 
 
 class CountingDict(dict):
