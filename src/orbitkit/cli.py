@@ -97,6 +97,8 @@ def _read_text(path: str) -> tuple[str, str]:
     """Read a file (or stdin for ``-``) as UTF-8 whatever the locale; return the text
     and a report line with the sha256 of the raw bytes, line endings included."""
     if path == "-":
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise CliInputError("cannot read '-': stdin is closed")
         data = sys.stdin.buffer.read()
         name = "<stdin>"
     else:

@@ -241,30 +241,6 @@ class Polynomial:
                 return total
             prod, children = stack.pop()
 
-    def substitute(self, mapping: Mapping[int, Union["Polynomial", int]]) -> "Polynomial":
-        """Replace mapped variables by polynomials; unmapped variables stand
-        for themselves.  Evaluating the result equals evaluating ``self`` on
-        the pointwise-evaluated substitutions."""
-        subs: dict[int, Polynomial] = {}
-        for var, repl in mapping.items():
-            if not isinstance(var, int) or var < 0:
-                raise ValueError(f"substituted variable must be a natural number, got {var!r}")
-            p = _coerce(repl)
-            if p is NotImplemented:
-                raise ValueError(f"substitution for x{var} must be a Polynomial or int")
-            subs[var] = p
-        total = Polynomial._raw({})
-        for mono, coeff in self._terms.items():
-            term = constant(coeff)
-            for var, exp in mono:
-                base = subs.get(var)
-                if base is None:
-                    term = term * Polynomial._raw({((var, exp),): 1})
-                else:
-                    term = term * base**exp
-            total = total + term
-        return total
-
     def support_vars(self) -> frozenset:
         """Variables occurring with positive exponent in some term."""
         return frozenset(var for mono in self._terms for var, _ in mono)

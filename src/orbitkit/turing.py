@@ -49,7 +49,6 @@ __all__ = [
     "step_fn",
     "tm_step",
     "trajectory",
-    "validate_tm",
 ]
 
 
@@ -67,6 +66,10 @@ class TmValidationError(TmError):
 
 @dataclass(frozen=True)
 class TMDesc:
+    """A machine description.  The constructor checks it and raises
+    TmValidationError, so every ``TMDesc`` has declared start and halting
+    states and a total transition table on (non-halting state, tape symbol)."""
+
     states: frozenset
     input_alphabet: frozenset
     tape_alphabet: frozenset
@@ -75,6 +78,37 @@ class TMDesc:
     start: str
     accept: str
     reject: str
+
+    def __post_init__(self):
+        if self.accept == self.reject:
+            raise TmValidationError("accept and reject states must differ")
+        for role in ("start", "accept", "reject"):
+            q = getattr(self, role)
+            if q not in self.states:
+                raise TmValidationError(f"{role} state '{q}' is not a declared state")
+        if self.blank not in self.tape_alphabet:
+            raise TmValidationError(f"blank symbol '{self.blank}' must be in the tape alphabet")
+        if self.blank in self.input_alphabet:
+            raise TmValidationError("the blank symbol may not be in the input alphabet")
+        for s in self.input_alphabet:
+            if s not in self.tape_alphabet:
+                raise TmValidationError(f"input symbol '{s}' missing from the tape alphabet")
+        for (q, s), (q2, s2, move) in self.transitions.items():
+            for state in (q, q2):
+                if state not in self.states:
+                    raise TmValidationError(f"rule references unknown state '{state}'")
+            for sym in (s, s2):
+                if sym not in self.tape_alphabet:
+                    raise TmValidationError(f"rule references unknown symbol '{sym}'")
+            if move not in ("L", "R"):
+                raise TmValidationError(f"rule move must be L or R, got '{move}'")
+        halting = {self.accept, self.reject}
+        for q in self.states:
+            if q in halting:
+                continue
+            for s in self.tape_alphabet:
+                if (q, s) not in self.transitions:
+                    raise TmValidationError(f"transition missing for state '{q}' reading '{s}'")
 
 
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
@@ -167,39 +201,6 @@ def _configuration(state: str, head: int, left: tuple, right: tuple, fp: int) ->
     return c
 
 
-def validate_tm(m: TMDesc) -> None:
-    """Check the structural invariants; raises TmValidationError."""
-    if m.accept == m.reject:
-        raise TmValidationError("accept and reject states must differ")
-    for role in ("start", "accept", "reject"):
-        q = getattr(m, role)
-        if q not in m.states:
-            raise TmValidationError(f"{role} state '{q}' is not a declared state")
-    if m.blank not in m.tape_alphabet:
-        raise TmValidationError(f"blank symbol '{m.blank}' must be in the tape alphabet")
-    if m.blank in m.input_alphabet:
-        raise TmValidationError("the blank symbol may not be in the input alphabet")
-    for s in m.input_alphabet:
-        if s not in m.tape_alphabet:
-            raise TmValidationError(f"input symbol '{s}' missing from the tape alphabet")
-    for (q, s), (q2, s2, move) in m.transitions.items():
-        for state in (q, q2):
-            if state not in m.states:
-                raise TmValidationError(f"rule references unknown state '{state}'")
-        for sym in (s, s2):
-            if sym not in m.tape_alphabet:
-                raise TmValidationError(f"rule references unknown symbol '{sym}'")
-        if move not in ("L", "R"):
-            raise TmValidationError(f"rule move must be L or R, got '{move}'")
-    halting = {m.accept, m.reject}
-    for q in m.states:
-        if q in halting:
-            continue
-        for s in m.tape_alphabet:
-            if (q, s) not in m.transitions:
-                raise TmValidationError(f"transition missing for state '{q}' reading '{s}'")
-
-
 _HEADER_KEYS = ("states", "input", "tape", "blank", "start", "accept", "reject")
 
 
@@ -247,7 +248,7 @@ def parse_tm(text: str) -> TMDesc:
     # halting states absorb; their rows are dropped after duplicate checking
     transitions = {k: v for k, v in transitions.items() if k[0] not in (accept, reject)}
 
-    m = TMDesc(
+    return TMDesc(
         states=frozenset(headers["states"]),
         input_alphabet=frozenset(headers["input"]),
         tape_alphabet=frozenset(headers["tape"]),
@@ -257,8 +258,6 @@ def parse_tm(text: str) -> TMDesc:
         accept=accept,
         reject=reject,
     )
-    validate_tm(m)
-    return m
 
 
 def parse_word(text: str, m: TMDesc) -> list[str]:

@@ -355,6 +355,20 @@ def test_input_is_decoded_as_utf8_under_the_c_locale(tmp_path):
     assert "verdict=stable orbit_size=2 preperiod=0 period=2" in lines
 
 
+def test_package_import_loads_only_the_modules_asked_for():
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('orbitkit.')))"
+    loaded = {}
+    for stmt in ("import orbitkit", "from orbitkit import lifepoly"):
+        run = subprocess.run([sys.executable, "-c", f"{stmt}; {report}"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        loaded[stmt] = run.stdout.split()
+    assert loaded["import orbitkit"] == []
+    assert loaded["from orbitkit import lifepoly"] == [
+        "orbitkit.dynamics", "orbitkit.life", "orbitkit.lifepoly", "orbitkit.polymap"]
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["life", "run", "/nonexistent.rle"], capsys)
     assert code == 1
@@ -647,17 +661,21 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
         ({}, ["orbit", "check", "--point", "-", "--map", "-"]),
         ({"-": BLINKER_RLE}, ["orbit", "check", "--encode", "-", "--map", "gol", "--map", "-"]),
         ({"m.map": "0: x0\n"}, [*POINT, "-", "--map", "m.map", "--map", "-"]),
+        # started with stdin closed, so sys.stdin is None
+        ({"-": None}, ["life", "step", "-"]),
     ],
     ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
          "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
          "encode-rle-count-before-end", "encode-off-quadrant", "duplicate-point-index",
          "map-dangling-minus", "map-duplicate-coordinate", "second-map-duplicate-coordinate",
          "encode-then-bad-map", "life-step-out-is-a-directory", "life-run-out-is-a-directory",
-         "stdin-as-point-and-map", "stdin-as-pattern-and-map", "stdin-as-two-maps"],
+         "stdin-as-point-and-map", "stdin-as-pattern-and-map", "stdin-as-two-maps",
+         "stdin-closed"],
 )
 def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sys.stdin", text_stdin(files.get("-", "0:1\n")))
+    stdin = files.get("-", "0:1\n")
+    monkeypatch.setattr("sys.stdin", None if stdin is None else text_stdin(stdin))
     (tmp_path / "p.pt").write_text("0:1\n")
     for name, text in files.items():
         if name != "-":

@@ -105,44 +105,6 @@ def test_a_long_monomial_evaluates_without_recursion():
     assert p.evaluate(dict.fromkeys(range(3000), -2)) == 2**3000 + 1
 
 
-def test_substitute_binomial_square():
-    p = variable(0) ** 2
-    q = p.substitute({0: variable(1) + 1})
-    x1 = variable(1)
-    assert q == x1**2 + 2 * x1 + 1
-
-
-def test_substitute_empty_map_is_identity():
-    rng = random.Random(2)
-    for _ in range(10):
-        p = random_poly(rng)
-        assert p.substitute({}) == p
-
-
-def test_substitute_then_evaluate_matches_compose_then_evaluate():
-    rng = random.Random(20240811)
-    for _ in range(100):
-        p = random_poly(rng)
-        subs = {v: random_poly(rng) for v in range(3) if rng.random() < 0.7}
-        point = {v: rng.randint(-3, 3) for v in range(3)}
-        composed = {
-            v: (subs[v].evaluate(point) if v in subs else point.get(v, 0)) for v in range(3)
-        }
-        assert p.substitute(subs).evaluate(point) == p.evaluate(composed)
-
-
-def test_substitution_composes():
-    rng = random.Random(3)
-    for _ in range(25):
-        p = random_poly(rng)
-        s = {v: random_poly(rng) for v in range(3) if rng.random() < 0.6}
-        t = {v: random_poly(rng) for v in range(3) if rng.random() < 0.6}
-        st_composed = {v: q.substitute(t) for v, q in s.items()}
-        for v, q in t.items():
-            st_composed.setdefault(v, q)
-        assert p.substitute(s).substitute(t) == p.substitute(st_composed)
-
-
 def test_support_vars():
     assert Polynomial.zero().support_vars() == frozenset()
     assert constant(7).support_vars() == frozenset()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitkit.cycles import Exhausted, Periodic, detect_brent, detect_hashset
 from orbitkit.turing import (
     Configuration,
+    TMDesc,
     TmError,
     TmParseError,
     TmValidationError,
@@ -276,6 +277,15 @@ def test_parser_requires_totality_and_names_the_pair():
     with pytest.raises(TmValidationError) as exc:
         parse_tm(text)
     assert "'b'" in str(exc.value) and "'_'" in str(exc.value)
+
+
+def test_machine_built_directly_must_be_total():
+    # built directly, not through parse_tm
+    with pytest.raises(TmValidationError) as exc:
+        TMDesc(states=frozenset({"q", "qa", "qr"}), input_alphabet=frozenset(),
+               tape_alphabet=frozenset({"_"}), blank="_", transitions={},
+               start="q", accept="qa", reject="qr")
+    assert "'q'" in str(exc.value) and "'_'" in str(exc.value)
 
 
 def test_parser_rejects_duplicate_rule():
