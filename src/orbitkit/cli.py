@@ -13,9 +13,11 @@ Stdout is byte-deterministic for fixed inputs and seed; the wall-time
 line goes to stderr.  Every file argument accepts ``-`` for stdin, at
 most once per command; input is UTF-8 and ``sha256=`` hashes its bytes.
 
-Exit codes: 0 = a verdict was produced (Unknown included), 1 = input
-error, 2 = internal invariant violation (any ``RuntimeError``, reported
-as ``internal check failed: ...`` on stderr).  Each command reads and
+Exit codes: 0 = a verdict was produced (Unknown included); 1 = input
+error, any ``ValueError`` or ``OSError`` (every error class of the
+toolkit subclasses ``ValueError``), reported as ``error: ...`` on
+stderr; 2 = internal invariant violation, any ``RuntimeError``, reported
+as ``internal check failed: ...`` on stderr.  Each command reads and
 parses all of its input, and writes its ``--out`` file, before it prints
 its first line, so an input or output error prints nothing on stdout.
 """
@@ -31,25 +33,13 @@ from pathlib import Path
 
 from . import cycles, dynamics, life, lifepoly, orbit, turing
 from .dynamics import FiniteComponentMap, GridRuleMap
-from .polymap import PolyParseError, parse_poly
+from .polymap import parse_poly
 
 __all__ = ["main", "parse_component_map"]
 
 
 class CliInputError(ValueError):
     pass
-
-
-_INPUT_ERRORS = (
-    OSError,
-    UnicodeError,  # input bytes that are not valid UTF-8
-    CliInputError,
-    PolyParseError,
-    dynamics.PointParseError,
-    life.RleParseError,
-    lifepoly.OutOfQuadrantError,
-    turing.TmError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,7 +332,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # bad input, undecodable bytes included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # an internal invariant check failed

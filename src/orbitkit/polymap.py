@@ -91,7 +91,7 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     """Immutable sparse polynomial in variables x0, x1, ... over the integers."""
 
-    __slots__ = ("_terms", "_hash", "_tree")
+    __slots__ = ("_terms", "_tree")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
         data: dict[Monomial, int] = {}
@@ -107,7 +107,6 @@ class Polynomial:
                 else:
                     data.pop(key, None)
         self._terms = data
-        self._hash = None
         self._tree = None
 
     @classmethod
@@ -115,7 +114,6 @@ class Polynomial:
         # data must already be canonical (normalized keys, no zero coefficients)
         p = cls.__new__(cls)
         p._terms = data
-        p._hash = None
         p._tree = None
         return p
 
@@ -139,15 +137,10 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            terms = self._terms
-            if terms.keys() <= {()}:  # a constant must hash like the int it equals
-                h = hash(terms.get((), 0))
-            else:
-                h = hash(frozenset(terms.items()))
-            self._hash = h
-        return h
+        terms = self._terms
+        if terms.keys() <= {()}:  # a constant must hash like the int it equals
+            return hash(terms.get((), 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         other = _coerce(other)

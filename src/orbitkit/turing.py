@@ -33,8 +33,9 @@ state of a walk costs O(1) memory per state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
@@ -68,18 +69,22 @@ class TmValidationError(TmError):
 class TMDesc:
     """A machine description.  The constructor checks it and raises
     TmValidationError, so every ``TMDesc`` has declared start and halting
-    states and a total transition table on (non-halting state, tape symbol)."""
+    states and a total transition table on (non-halting state, tape symbol).
+    It keeps a read-only copy of the table without the rows sourced at a
+    halting state; ``hash`` leaves the table out, ``==`` compares it."""
 
     states: frozenset
     input_alphabet: frozenset
     tape_alphabet: frozenset
     blank: str
-    transitions: dict  # (state, symbol) -> (state, symbol, "L" | "R")
+    transitions: Mapping = field(hash=False)  # (state, symbol) -> (state, symbol, "L" | "R")
     start: str
     accept: str
     reject: str
 
     def __post_init__(self):
+        halting = (self.accept, self.reject)
+        table = {k: v for k, v in self.transitions.items() if k[0] not in halting}
         if self.accept == self.reject:
             raise TmValidationError("accept and reject states must differ")
         for role in ("start", "accept", "reject"):
@@ -93,7 +98,7 @@ class TMDesc:
         for s in self.input_alphabet:
             if s not in self.tape_alphabet:
                 raise TmValidationError(f"input symbol '{s}' missing from the tape alphabet")
-        for (q, s), (q2, s2, move) in self.transitions.items():
+        for (q, s), (q2, s2, move) in table.items():
             for state in (q, q2):
                 if state not in self.states:
                     raise TmValidationError(f"rule references unknown state '{state}'")
@@ -102,13 +107,13 @@ class TMDesc:
                     raise TmValidationError(f"rule references unknown symbol '{sym}'")
             if move not in ("L", "R"):
                 raise TmValidationError(f"rule move must be L or R, got '{move}'")
-        halting = {self.accept, self.reject}
         for q in self.states:
             if q in halting:
                 continue
             for s in self.tape_alphabet:
-                if (q, s) not in self.transitions:
+                if (q, s) not in table:
                     raise TmValidationError(f"transition missing for state '{q}' reading '{s}'")
+        object.__setattr__(self, "transitions", MappingProxyType(table))
 
 
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
@@ -238,15 +243,11 @@ def parse_tm(text: str) -> TMDesc:
         if len(headers[name]) != 1:
             raise TmParseError(f"header '{name}:' must name exactly one token")
 
-    accept = headers["accept"][0]
-    reject = headers["reject"][0]
     transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for lineno, q, s, q2, s2, move in rules:
         if (q, s) in transitions:
             raise TmParseError(f"duplicate rule for ('{q}', '{s}') (line {lineno})")
         transitions[(q, s)] = (q2, s2, move)
-    # halting states absorb; their rows are dropped after duplicate checking
-    transitions = {k: v for k, v in transitions.items() if k[0] not in (accept, reject)}
 
     return TMDesc(
         states=frozenset(headers["states"]),
@@ -255,8 +256,8 @@ def parse_tm(text: str) -> TMDesc:
         blank=headers["blank"][0],
         transitions=transitions,
         start=headers["start"][0],
-        accept=accept,
-        reject=reject,
+        accept=headers["accept"][0],
+        reject=headers["reject"][0],
     )
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -401,6 +403,25 @@ def test_non_ascii_digit_is_input_error(name, text, args, tmp_path, monkeypatch,
     assert "error:" in err and "Traceback" not in err
 
 
+def test_every_error_class_is_a_value_error():
+    # main maps ValueError to exit 1, so every public error class must be one
+    # (cycles._OutOfBudget is private and never leaves detect_brent)
+    errors = {
+        obj.__name__: obj
+        for info in pkgutil.iter_modules(orbitkit.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(f"orbitkit.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__.startswith("orbitkit.") and not obj.__name__.startswith("_")
+    }
+    assert errors.keys() == {
+        "CliInputError", "PolyParseError", "PointParseError", "RleParseError",
+        "OutOfQuadrantError", "NotAConfigurationError", "TmError", "TmParseError",
+        "TmValidationError",
+    }
+    assert all(issubclass(cls, ValueError) for cls in errors.values())
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["life", "run"])
@@ -631,6 +652,14 @@ def test_component_map_stdout_bytes_and_exit_code_are_pinned(
 BAD_MAP = "0: x0 -\n"
 DUP_MAP = "0: x1\n0: x0\n"
 POINT = ["orbit", "check", "--point", "p.pt", "--map"]
+# int() refuses a numeral longer than this with a plain ValueError; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "1" * (DIGIT_LIMIT + 1)
+
+
+def past_digit_limit(files, args):
+    return pytest.param(files, args, marks=pytest.mark.skipif(
+        not DIGIT_LIMIT, reason="the interpreter sets no integer digit limit"))
 
 
 # every input is read and parsed before the first report line, so no error leaves
@@ -663,6 +692,12 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
         ({"m.map": "0: x0\n"}, [*POINT, "-", "--map", "m.map", "--map", "-"]),
         # started with stdin closed, so sys.stdin is None
         ({"-": None}, ["life", "step", "-"]),
+        past_digit_limit({"p.pt": f"0:{TOO_LONG}"}, [*POINT, "gol"]),
+        past_digit_limit({"p.pt": f"{TOO_LONG}:1"}, [*POINT, "gol"]),
+        past_digit_limit({"m.map": f"0: {TOO_LONG}*x0\n"}, [*POINT, "m.map"]),
+        past_digit_limit({"m.map": f"{TOO_LONG}: x0\n"}, [*POINT, "m.map"]),
+        past_digit_limit({"m.map": f"0: x0^{TOO_LONG}\n"}, [*POINT, "m.map"]),
+        past_digit_limit({"m.map": f"0: x{TOO_LONG}\n"}, [*POINT, "m.map"]),
     ],
     ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
          "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
@@ -670,7 +705,9 @@ POINT = ["orbit", "check", "--point", "p.pt", "--map"]
          "map-dangling-minus", "map-duplicate-coordinate", "second-map-duplicate-coordinate",
          "encode-then-bad-map", "life-step-out-is-a-directory", "life-run-out-is-a-directory",
          "stdin-as-point-and-map", "stdin-as-pattern-and-map", "stdin-as-two-maps",
-         "stdin-closed"],
+         "stdin-closed", "point-value-past-digit-limit", "point-index-past-digit-limit",
+         "map-coefficient-past-digit-limit", "map-coordinate-past-digit-limit",
+         "poly-exponent-past-digit-limit", "poly-variable-past-digit-limit"],
 )
 def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

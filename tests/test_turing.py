@@ -335,6 +335,44 @@ def test_halting_state_rules_are_ignored():
     assert tm_step(m, Configuration("qa", {}, 0, "_")) is None
 
 
+def test_transition_table_is_read_only():
+    m = parse_tm(TWO_STATE_LOOPER)
+    before = list(islice(trajectory(m, ["0"]), 6))
+    with pytest.raises(TypeError):
+        m.transitions[("a", "_")] = ("qa", "_", "R")
+    with pytest.raises(AttributeError):
+        m.transitions.pop(("a", "_"))
+    assert list(islice(trajectory(m, ["0"]), 6)) == before
+
+
+def test_machine_keeps_its_own_copy_of_the_table():
+    rules = dict(parse_tm(TWO_STATE_LOOPER).transitions)
+    m = TMDesc(states=frozenset({"a", "b", "qa", "qr"}), input_alphabet=frozenset({"0"}),
+               tape_alphabet=frozenset({"0", "_"}), blank="_", transitions=rules,
+               start="a", accept="qa", reject="qr")
+    rules.pop(("a", "_"))
+    assert m == parse_tm(TWO_STATE_LOOPER)
+    assert m.transitions[("a", "_")] == ("b", "_", "R")
+
+
+def test_machine_built_directly_drops_halting_rules_like_the_parser():
+    parsed = parse_tm(TWO_STATE_LOOPER)
+    halting_rules = {("qa", "0"): ("a", "0", "L"), ("qr", "_"): ("zz", "9", "X")}
+    built = TMDesc(states=parsed.states, input_alphabet=parsed.input_alphabet,
+                   tape_alphabet=parsed.tape_alphabet, blank=parsed.blank,
+                   transitions={**parsed.transitions, **halting_rules},
+                   start=parsed.start, accept=parsed.accept, reject=parsed.reject)
+    assert built == parsed
+    assert ("qa", "0") not in built.transitions
+
+
+def test_equal_machines_hash_equal():
+    a = parse_tm(TWO_STATE_LOOPER)
+    b = parse_tm(TWO_STATE_LOOPER + "qa, 0 -> a, 0, L\n")
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_tm(TWO_STATE_LOOPER.replace("b, _ -> a, _, L", "b, _ -> qa, _, L"))
+
+
 @st.composite
 def machines(draw):
     """A random machine over {0, 1, _} with 2-4 working states, plus an input word."""
