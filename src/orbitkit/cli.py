@@ -8,6 +8,10 @@ Subcommands:
 * ``orbit check``     stability of a point under one or more polynomial maps
 * ``verify``          differential test: polynomial map vs. grid engine
 
+Each command imports only the modules it uses: a ``tm`` run loads
+``turing`` and ``cycles`` (and ``polymap``, which this module imports)
+but not ``dynamics``, ``life``, ``lifepoly`` or ``orbit``.
+
 Reports are ``key=value`` lines on stdout, one logical result per line.
 Stdout is byte-deterministic for fixed inputs and seed; the wall-time
 line goes to stderr.  Every file argument accepts ``-`` for stdin, at
@@ -26,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import random
 import sys
 import time
 from pathlib import Path
 
-from . import cycles, dynamics, life, lifepoly, orbit, turing
-from .dynamics import FiniteComponentMap, GridRuleMap
+# the other modules are imported inside the commands that use them and
+# called through the module (turing.parse_tm), so a wrapper set on a
+# module attribute sees every call
 from .polymap import parse_poly
 
 __all__ = ["main", "parse_component_map"]
@@ -98,16 +102,13 @@ def _read_text(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), f"input={name} sha256={digest}"
 
 
-def _bbox_str(config) -> str:
-    box = life.bounding_box(config)
-    return "empty" if box is None else ",".join(str(v) for v in box)
-
-
 def parse_component_map(text: str) -> FiniteComponentMap:
     """Parse a component-map file: ``coordinate: polynomial`` lines.
 
     Polynomials use the standard text format; ``#`` starts a comment.
     """
+    from .dynamics import FiniteComponentMap
+
     components = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,6 +128,13 @@ def parse_component_map(text: str) -> FiniteComponentMap:
 
 
 def cmd_life(args) -> int:
+    from . import life
+
+    def summary(config) -> str:
+        box = life.bounding_box(config)
+        bbox = "empty" if box is None else ",".join(map(str, box))
+        return f"population={len(config)} bbox={bbox}"
+
     text, digest = _read_text(args.pattern)
     config = life.parse_rle(text)
     # buffered, so an unwritable --out fails before the first line is printed
@@ -135,8 +143,8 @@ def cmd_life(args) -> int:
     for k in range(1, args.steps + 1):
         current = life.step(current)
         if args.trace:
-            lines.append(f"step={k} population={len(current)} bbox={_bbox_str(current)}")
-    lines.append(f"steps={args.steps} population={len(current)} bbox={_bbox_str(current)}")
+            lines.append(f"step={k} {summary(current)}")
+    lines.append(f"steps={args.steps} {summary(current)}")
     if args.grid:
         box = life.bounding_box(current)
         lines.append(f"origin={box[0]},{box[1]}" if box else "origin=none")
@@ -153,6 +161,8 @@ def cmd_life(args) -> int:
 
 
 def cmd_poly_rule(args) -> int:
+    from . import lifepoly
+
     rule = lifepoly.build_local_rule()
     patterns = lifepoly.life_patterns()
     print("command=poly-rule")
@@ -177,6 +187,8 @@ def _tape_str(config, m) -> str:
 
 
 def cmd_tm(args) -> int:
+    from . import cycles, turing
+
     text, digest = _read_text(args.machine)
     m = turing.parse_tm(text)
     word = turing.parse_word(args.input, m)
@@ -204,6 +216,8 @@ def cmd_tm(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from . import dynamics, orbit
+
     if args.point is not None and args.translate:
         raise CliInputError("--translate only applies to --encode")
     source = args.encode if args.point is None else args.point
@@ -215,6 +229,8 @@ def cmd_orbit(args) -> int:
         point = dynamics.parse_point(text)
         extra_lines = []
     else:
+        from . import life, lifepoly
+
         config = life.parse_rle(text)
         if args.translate:
             config = life.translate(config, args.translate[0], args.translate[1])
@@ -224,6 +240,8 @@ def cmd_orbit(args) -> int:
     maps = []
     for spec in args.map:
         if spec == "gol":
+            from . import lifepoly
+
             maps.append(lifepoly.build_gol_map())
         else:
             text, digest = _read_text(spec)
@@ -243,6 +261,8 @@ def cmd_orbit(args) -> int:
 
 
 def _corrupted_rule():
+    from . import lifepoly
+
     # negative control: forget every survival-on-2 pattern
     return lifepoly.expand_patterns(
         bits for bits in lifepoly.life_patterns() if not (bits[0] == 1 and sum(bits[1:]) == 2)
@@ -250,6 +270,11 @@ def _corrupted_rule():
 
 
 def cmd_verify(args) -> int:
+    import random
+
+    from . import life, lifepoly
+    from .dynamics import GridRuleMap
+
     print(f"command={args.command}")
     print(f"trials={args.trials} size={args.size} density={args.density} seed={args.seed}")
     gol = (GridRuleMap(_corrupted_rule(), lifepoly.cantor_pairing()) if args.corrupt

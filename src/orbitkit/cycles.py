@@ -22,7 +22,6 @@ hash-set walk costs O(1) memory per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, TypeVar, Union
 
 __all__ = [
@@ -39,30 +38,64 @@ S = TypeVar("S", bound=Hashable)
 StepFn = Callable[[S], Optional[S]]
 
 
-@dataclass(frozen=True)
-class Periodic:
+class _Record:
+    """Base of the verdict records: immutable, ``==`` only between records of
+    the same type with equal fields, ``hash`` over the fields, and a
+    ``Name(field=value, ...)`` repr.  A subclass lists its fields in
+    ``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Periodic(_Record):
     """The trajectory revisits a state: minimal preperiod and minimal period."""
 
-    preperiod: int
-    period: int
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if self.preperiod < 0 or self.period < 1:
-            raise ValueError(f"invalid cycle shape ({self.preperiod}, {self.period})")
+    def __init__(self, preperiod: int, period: int):
+        if preperiod < 0 or period < 1:
+            raise ValueError(f"invalid cycle shape ({preperiod}, {period})")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(_Record):
     """The step function signaled termination after ``steps`` transitions."""
 
-    steps: int
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: int):
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(_Record):
     """The budget ran out with no revisit and no termination."""
 
-    budget: int
+    __slots__ = ("budget",)
+
+    def __init__(self, budget: int):
+        object.__setattr__(self, "budget", budget)
 
 
 CycleVerdict = Union[Periodic, Terminated, Exhausted]

@@ -24,7 +24,6 @@ points and maps are safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
@@ -153,7 +152,6 @@ def parse_point(text: str) -> SparsePoint:
     return SparsePoint._raw(entries)
 
 
-@dataclass(frozen=True)
 class PairingSpec:
     """A named injection of quadrant cells (a, b) into coordinate indexes.
 
@@ -161,11 +159,34 @@ class PairingSpec:
     application stores unchecked; ``inverse`` must raise
     :class:`ValueError` for indexes outside the image of ``forward``, and
     :meth:`GridRuleMap.apply` lets that error propagate unchanged.
+    Immutable; ``==`` and ``hash`` go by ``name`` alone.
     """
 
-    name: str
-    forward: Callable[[int, int], int] = field(compare=False)
-    inverse: Callable[[int], tuple[int, int]] = field(compare=False)
+    __slots__ = ("name", "forward", "inverse")
+
+    def __init__(self, name: str, forward: Callable[[int, int], int],
+                 inverse: Callable[[int], tuple[int, int]]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "inverse", inverse)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __repr__(self) -> str:
+        return (f"PairingSpec(name={self.name!r}, forward={self.forward!r}, "
+                f"inverse={self.inverse!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FiniteComponentMap:

@@ -56,10 +56,7 @@ def neighbor_count(config: LifeConfig, cell: Cell) -> int:
 
 def step(config: LifeConfig) -> LifeConfig:
     """One generation: birth on 3 live neighbors, survival on 2 or 3."""
-    counts = Counter()
-    for x, y in config:
-        for dx, dy in _STEPS:
-            counts[(x + dx, y + dy)] += 1
+    counts = Counter([(x + dx, y + dy) for x, y in config for dx, dy in _STEPS])
     return frozenset(c for c, n in counts.items() if n == 3 or (n == 2 and c in config))
 
 
@@ -102,7 +99,8 @@ def parse_rle(text: str) -> LifeConfig:
     ``x = <w>, y = <h>`` (a trailing ``rule = ...`` clause is ignored),
     runs of ``b``/``o``/``$``, and a ``!`` terminator after which the
     rest of the input is ignored.  The pattern is anchored so its first
-    row and column are 0.
+    row and column are 0, and every live cell must lie in the declared
+    ``w`` x ``h`` box, so a run costs at most the box the header declares.
     """
     lines = text.splitlines()
     header_at = None
@@ -110,8 +108,10 @@ def parse_rle(text: str) -> LifeConfig:
         s = raw.strip()
         if not s or s.startswith("#"):
             continue
-        if not _HEADER_RE.match(s):
+        header = _HEADER_RE.match(s)
+        if not header:
             raise RleParseError(f"malformed header {s!r}", i + 1, 1)
+        width, height = int(header.group(1)), int(header.group(2))
         header_at = i
         break
     if header_at is None:
@@ -133,6 +133,9 @@ def parse_rle(text: str) -> LifeConfig:
                 count, has_count = 0, False
             elif ch == "o":
                 n = count if has_count else 1
+                if n and (x + n > width or y >= height):
+                    raise RleParseError(
+                        f"live cell outside the declared {width} x {height} box", li + 1, ci + 1)
                 for k in range(n):
                     cells.add((x + k, y))
                 x += n

@@ -15,7 +15,6 @@ so the negative verdict is an honest ``Unknown``, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import cycles
@@ -32,24 +31,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Stable:
+class Stable(cycles._Record):
     """The explored orbit is finite and closed under every generator."""
 
-    orbit_size: int
-    witness: Optional[tuple[int, int]] = None  # (preperiod, period), singleton case
+    __slots__ = ("orbit_size", "witness")
 
-    def __post_init__(self):
-        if self.orbit_size < 1:
+    def __init__(self, orbit_size: int, witness: Optional[tuple[int, int]] = None):
+        # witness is (preperiod, period) in the singleton case
+        if orbit_size < 1:
             raise ValueError("a stable orbit contains at least the start point")
+        object.__setattr__(self, "orbit_size", orbit_size)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(cycles._Record):
     """Exploration hit a limit before the orbit closed."""
 
-    points_explored: int
-    budget_hit: str  # "budget" | "max_points" | "max_depth"
+    __slots__ = ("points_explored", "budget_hit")
+
+    def __init__(self, points_explored: int, budget_hit: str):
+        # budget_hit is "budget" | "max_points" | "max_depth"
+        object.__setattr__(self, "points_explored", points_explored)
+        object.__setattr__(self, "budget_hit", budget_hit)
 
 
 StabilityVerdict = Union[Stable, Unknown]

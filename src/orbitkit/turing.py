@@ -33,7 +33,6 @@ state of a walk costs O(1) memory per state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -65,55 +64,75 @@ class TmValidationError(TmError):
     """Well-formed text describing an invalid machine."""
 
 
-@dataclass(frozen=True)
 class TMDesc:
     """A machine description.  The constructor checks it and raises
     TmValidationError, so every ``TMDesc`` has declared start and halting
     states and a total transition table on (non-halting state, tape symbol).
     It keeps a read-only copy of the table without the rows sourced at a
-    halting state; ``hash`` leaves the table out, ``==`` compares it."""
+    halting state; it is immutable, ``hash`` leaves the table out and ``==``
+    compares it."""
 
-    states: frozenset
-    input_alphabet: frozenset
-    tape_alphabet: frozenset
-    blank: str
-    transitions: Mapping = field(hash=False)  # (state, symbol) -> (state, symbol, "L" | "R")
-    start: str
-    accept: str
-    reject: str
+    __slots__ = ("states", "input_alphabet", "tape_alphabet", "blank", "transitions",
+                 "start", "accept", "reject")
 
-    def __post_init__(self):
-        halting = (self.accept, self.reject)
-        table = {k: v for k, v in self.transitions.items() if k[0] not in halting}
-        if self.accept == self.reject:
+    def __init__(self, states: frozenset, input_alphabet: frozenset, tape_alphabet: frozenset,
+                 blank: str, transitions: Mapping, start: str, accept: str, reject: str):
+        # transitions: (state, symbol) -> (state, symbol, "L" | "R")
+        halting = (accept, reject)
+        table = {k: v for k, v in transitions.items() if k[0] not in halting}
+        if accept == reject:
             raise TmValidationError("accept and reject states must differ")
-        for role in ("start", "accept", "reject"):
-            q = getattr(self, role)
-            if q not in self.states:
+        for role, q in (("start", start), ("accept", accept), ("reject", reject)):
+            if q not in states:
                 raise TmValidationError(f"{role} state '{q}' is not a declared state")
-        if self.blank not in self.tape_alphabet:
-            raise TmValidationError(f"blank symbol '{self.blank}' must be in the tape alphabet")
-        if self.blank in self.input_alphabet:
+        if blank not in tape_alphabet:
+            raise TmValidationError(f"blank symbol '{blank}' must be in the tape alphabet")
+        if blank in input_alphabet:
             raise TmValidationError("the blank symbol may not be in the input alphabet")
-        for s in self.input_alphabet:
-            if s not in self.tape_alphabet:
+        for s in input_alphabet:
+            if s not in tape_alphabet:
                 raise TmValidationError(f"input symbol '{s}' missing from the tape alphabet")
         for (q, s), (q2, s2, move) in table.items():
             for state in (q, q2):
-                if state not in self.states:
+                if state not in states:
                     raise TmValidationError(f"rule references unknown state '{state}'")
             for sym in (s, s2):
-                if sym not in self.tape_alphabet:
+                if sym not in tape_alphabet:
                     raise TmValidationError(f"rule references unknown symbol '{sym}'")
             if move not in ("L", "R"):
                 raise TmValidationError(f"rule move must be L or R, got '{move}'")
-        for q in self.states:
+        for q in states:
             if q in halting:
                 continue
-            for s in self.tape_alphabet:
+            for s in tape_alphabet:
                 if (q, s) not in table:
                     raise TmValidationError(f"transition missing for state '{q}' reading '{s}'")
-        object.__setattr__(self, "transitions", MappingProxyType(table))
+        values = (states, input_alphabet, tape_alphabet, blank, MappingProxyType(table),
+                  start, accept, reject)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.states, self.input_alphabet, self.tape_alphabet, self.blank,
+                     self.start, self.accept, self.reject))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"TMDesc({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None

@@ -3,8 +3,10 @@ import importlib
 import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -371,6 +373,34 @@ def test_package_import_loads_only_the_modules_asked_for():
         "orbitkit.dynamics", "orbitkit.life", "orbitkit.lifepoly", "orbitkit.polymap"]
 
 
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    (tmp_path / "m.tm").write_text(WRITER)
+    (tmp_path / "p.pt").write_text("0:5\n")
+    (tmp_path / "flip.map").write_text("0: -1*x0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    report = ("import sys; from orbitkit import cli; code = cli.main(sys.argv[1:]); "
+              "print(*sorted(m for m in sys.modules if m.startswith('orbitkit.')), "
+              "'dataclasses' in sys.modules); sys.exit(code)")
+    for args, modules in (
+        (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"]),
+        (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
+         ["cycles", "dynamics", "orbit"]),
+    ):
+        run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        loaded = run.stdout.splitlines()[-1].split()
+        # cli imports parse_poly itself, so polymap always comes with it
+        assert loaded[:-1] == sorted(f"orbitkit.{m}" for m in ["cli", "polymap", *modules])
+        assert loaded[-1] == "False"
+
+
+def test_no_module_imports_dataclasses():
+    imports = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.M)
+    for path in Path(orbitkit.__file__).parent.glob("*.py"):
+        assert not imports.search(path.read_text(encoding="utf-8")), path.name
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["life", "run", "/nonexistent.rle"], capsys)
     assert code == 1
@@ -383,6 +413,25 @@ def test_bad_rle_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(["life", "run", str(p)], capsys)
     assert code == 1
     assert "unknown symbol" in err
+
+
+# a run count is bounded by the header's box, so a short pattern cannot ask for a
+# million cells
+@pytest.mark.parametrize("rle", ["x = 1, y = 1\n1000000o!", "x = 3, y = 1\n3o1000000$o!"],
+                         ids=["column", "row"])
+@pytest.mark.parametrize("args", [["life", "run", "s.rle"],
+                                  ["orbit", "check", "--encode", "s.rle", "--map", "gol"]],
+                         ids=["life-run", "orbit-encode"])
+def test_live_cell_outside_the_declared_box_is_input_error(rle, args, tmp_path, monkeypatch,
+                                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.rle").write_text(rle)
+    started = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert out == ""
+    assert "outside the declared" in err and "Traceback" not in err
 
 
 # "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError

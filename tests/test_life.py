@@ -147,6 +147,19 @@ def test_parse_errors_carry_position():
         parse_rle("")
 
 
+def test_parse_keeps_live_cells_inside_the_declared_box():
+    # dead runs may pass the box's edge; a live cell may not
+    assert parse_rle("x = 3, y = 2\n3o5b$2bo3b2$!") == frozenset({(0, 0), (1, 0), (2, 0), (2, 1)})
+    with pytest.raises(RleParseError) as exc:
+        parse_rle("x = 3, y = 1\nb3o!")
+    assert "outside the declared 3 x 1 box" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(RleParseError, match="outside the declared 3 x 1 box"):
+        parse_rle("x = 3, y = 1\no$o!")
+    with pytest.raises(RleParseError, match="outside the declared 0 x 0 box"):
+        parse_rle("x = 0, y = 0\no!")
+
+
 # "²" is a digit to str.isdigit but not to int(), and "٣" (Arabic-Indic three) is
 # one to both; the RLE dialect counts in ASCII digits only
 @pytest.mark.parametrize("bad", ["x = ٣, y = 1\no!", "x = 1, y = 1\n²o!", "x = 3, y = 1\n٣o!"])
