@@ -13,11 +13,11 @@ No total decision procedure is offered on purpose: eventual periodicity
 is only semi-decidable, which is exactly what the Exhausted verdict
 expresses.
 
-``detect_hashset`` stores every visited state; ``detect_brent`` is
-Brent's teleporting-turtle algorithm and keeps O(1) states, at the cost
-of re-walking the sequence to pin down the preperiod.  Stored Turing
-configurations share tape structure with each other, so for them the
-hash-set walk costs O(1) memory per step.
+``detect_hashset`` stores every visited state and hashes each one once;
+``detect_brent`` is Brent's teleporting-turtle algorithm and keeps O(1)
+states, at the cost of re-walking the sequence to pin down the
+preperiod.  Stored Turing configurations share tape structure with each
+other, so for them the hash-set walk costs O(1) memory per step.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ StepFn = Callable[[S], Optional[S]]
 
 
 class _Record:
-    """Base of the verdict records: immutable, ``==`` only between records of
-    the same type with equal fields, ``hash`` over the fields, and a
-    ``Name(field=value, ...)`` repr.  A subclass lists its fields in
-    ``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``."""
+    """Base of the value records (the verdicts and ``turing.TMDesc``):
+    immutable, ``==`` only between records of the same type with equal
+    fields, ``hash`` over the fields, and a ``Name(field=value, ...)`` repr.
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -116,10 +117,9 @@ def detect_hashset(step: StepFn, start: S, budget: int) -> CycleVerdict:
         state = step(state)
         if state is None:
             return Terminated(used - 1)
-        first = seen.get(state)
-        if first is not None:
+        first = seen.setdefault(state, used)
+        if first != used:
             return Periodic(preperiod=first, period=used - first)
-        seen[state] = used
     return Exhausted(budget)
 
 

@@ -75,9 +75,9 @@ class SparsePoint:
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for coord, value in items:
-                if not isinstance(coord, int) or coord < 0:
+                if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
                     raise ValueError(f"coordinate must be a natural number, got {coord!r}")
-                if not isinstance(value, int):
+                if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueError(f"value must be an integer, got {value!r}")
                 if value:
                     data[coord] = value
@@ -201,7 +201,7 @@ class FiniteComponentMap:
     def __init__(self, components: Mapping[int, Union[Polynomial, int]]):
         table: dict[int, Polynomial] = {}
         for coord, poly in components.items():
-            if not isinstance(coord, int) or coord < 0:
+            if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
                 raise ValueError(f"component coordinate must be a natural number, got {coord!r}")
             if isinstance(poly, int):
                 poly = constant(poly)

@@ -79,8 +79,9 @@ def _explore(generators, x, max_points, max_depth):
     gens = list(generators)
     if not gens:
         raise ValueError("generator set must be nonempty")
-    if max_points < 1 or max_depth < 1:
-        raise ValueError("exploration limits must be positive")
+    for limit in (max_points, max_depth):
+        if not isinstance(limit, int) or limit < 1:
+            raise ValueError("exploration limits must be positive integers")
     visited = {x}
     frontier = [x]
     depth = 0

@@ -51,7 +51,7 @@ class PolyParseError(ValueError):
 def _normalize_monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
     merged: dict[int, int] = {}
     for var, exp in pairs:
-        if not isinstance(var, int) or var < 0:
+        if not isinstance(var, int) or isinstance(var, bool) or var < 0:
             raise ValueError(f"variable index must be a natural number, got {var!r}")
         if not isinstance(exp, int) or exp < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")

@@ -17,9 +17,11 @@ States and symbols are arbitrary whitespace-free identifiers.  The
 transition table must be total on (non-halting state, tape symbol);
 rules sourced at a halting state are ignored, since a halting state has
 no successor: :func:`tm_step` returns None from it, and
-:func:`trajectory` ends on the halting configuration.  The head starts
-on cell 0; moving left from cell 0 leaves the head in place (the write
-and state change still happen).
+:func:`trajectory` ends on the halting configuration.  :func:`tm_step`
+raises TmError on a configuration in an undeclared state, or whose head
+reads a symbol outside the tape alphabet.  The head starts on cell 0;
+moving left from cell 0 leaves the head in place (the write and state
+change still happen).
 
 ``Configuration(state, tape, head, blank)`` is the one checking
 constructor of a configuration; it drops blank cells, so a written blank
@@ -36,6 +38,8 @@ from __future__ import annotations
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+from .cycles import _Record
 
 __all__ = [
     "Configuration",
@@ -64,7 +68,7 @@ class TmValidationError(TmError):
     """Well-formed text describing an invalid machine."""
 
 
-class TMDesc:
+class TMDesc(_Record):
     """A machine description.  The constructor checks it and raises
     TmValidationError, so every ``TMDesc`` has declared start and halting
     states and a total transition table on (non-halting state, tape symbol).
@@ -112,27 +116,9 @@ class TMDesc:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     def __hash__(self) -> int:
         return hash((self.states, self.input_alphabet, self.tape_alphabet, self.blank,
                      self.start, self.accept, self.reject))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"TMDesc({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
@@ -231,7 +217,7 @@ _HEADER_KEYS = ("states", "input", "tape", "blank", "start", "accept", "reject")
 def parse_tm(text: str) -> TMDesc:
     """Parse and validate a machine description (format in module docstring)."""
     headers: dict[str, list[str]] = {}
-    rules = []
+    transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -251,7 +237,10 @@ def parse_tm(text: str) -> TMDesc:
                 raise TmParseError(
                     f"malformed rule (line {lineno}): expected \"state, symbol -> state, symbol, L|R\""
                 )
-            rules.append((lineno, lparts[0], lparts[1], rparts[0], rparts[1], rparts[2]))
+            q, s = lparts
+            if (q, s) in transitions:
+                raise TmParseError(f"duplicate rule for ('{q}', '{s}') (line {lineno})")
+            transitions[(q, s)] = tuple(rparts)
             continue
         raise TmParseError(f"unrecognized line {lineno}: {raw.strip()!r}")
 
@@ -261,12 +250,6 @@ def parse_tm(text: str) -> TMDesc:
     for name in ("blank", "start", "accept", "reject"):
         if len(headers[name]) != 1:
             raise TmParseError(f"header '{name}:' must name exactly one token")
-
-    transitions: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for lineno, q, s, q2, s2, move in rules:
-        if (q, s) in transitions:
-            raise TmParseError(f"duplicate rule for ('{q}', '{s}') (line {lineno})")
-        transitions[(q, s)] = (q2, s2, move)
 
     return TMDesc(
         states=frozenset(headers["states"]),
@@ -304,14 +287,22 @@ def initial_config(m: TMDesc, word: Sequence[str]) -> Configuration:
 
 
 def tm_step(m: TMDesc, c: Configuration) -> Optional[Configuration]:
-    """One transition, or None from a halting state whatever the tape and head."""
-    if c._state not in m.states:
-        raise TmError(f"corrupt configuration: unknown state '{c._state}'")
-    if c._state == m.accept or c._state == m.reject:
-        return None
+    """One transition, or None from a halting state whatever the tape and head.
+
+    Raises TmError when ``c`` is in an undeclared state or its head reads a
+    symbol outside the tape alphabet.  Both show as a miss of the one table
+    lookup, as does a halting state, whose rows the table leaves out.
+    """
     head, left, right, fp = c._head, c._left, c._right, c._fp
     read, rest = right if right else (None, _NIL)
-    state, write, move = m.transitions[(c._state, m.blank if read is None else read)]
+    row = m.transitions.get((c._state, m.blank if read is None else read))
+    if row is None:
+        if c._state == m.accept or c._state == m.reject:
+            return None
+        if c._state not in m.states:
+            raise TmError(f"corrupt configuration: unknown state '{c._state}'")
+        raise TmError(f"corrupt configuration: symbol '{read}' is not in the tape alphabet")
+    state, write, move = row
     if write == m.blank:
         write = None
     if write != read:

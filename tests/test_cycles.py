@@ -137,6 +137,28 @@ def test_brent_budget_accounting_is_exact(step):
     assert completed is not None
 
 
+def test_hashset_walk_hashes_each_visited_state_once():
+    hashes = []
+
+    class State:
+        def __init__(self, n):
+            self.n = n
+
+        def __eq__(self, other):
+            return self.n == other.n
+
+        def __hash__(self):
+            hashes.append(self.n)
+            return hash(self.n)
+
+    step = rho_step(3, 4)
+    assert detect_hashset(lambda s: State(step(s.n)), State(0), 100) == Periodic(3, 4)
+    assert hashes == [0, 1, 2, 3, 4, 5, 6, 3]  # the revisit of state 3 ends the walk
+    hashes.clear()
+    assert detect_hashset(lambda s: State(s.n + 1), State(0), 5) == Exhausted(5)
+    assert hashes == [0, 1, 2, 3, 4, 5]
+
+
 def test_budget_validation_and_edge():
     assert detect_hashset(lambda n: n + 1, 0, 0) == Exhausted(0)
     assert detect_brent(lambda n: n + 1, 0, 0) == Exhausted(0)

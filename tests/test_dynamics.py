@@ -48,6 +48,15 @@ def test_sparse_point_validation():
         SparsePoint({-1: 2})
     with pytest.raises(ValueError):
         SparsePoint({0: 1.5})
+    # True would print as "True:5" or "0:True", which parse_point rejects
+    for entries in ({True: 5}, {0: True}, {False: 1}, {1: False}):
+        with pytest.raises(ValueError):
+            SparsePoint(entries)
+
+
+def test_component_map_rejects_a_bool_coordinate():
+    with pytest.raises(ValueError, match="coordinate"):
+        FiniteComponentMap({True: variable(0)})
 
 
 def test_sparse_point_equality_and_hash():

@@ -82,6 +82,11 @@ def test_closure_rejects_empty_generators_and_bad_limits():
         orbit_closure([], SparsePoint(), 10, 10)
     with pytest.raises(ValueError):
         orbit_closure([FiniteComponentMap({})], SparsePoint(), 0, 10)
+    # a fractional limit is never reached, so the walk would stop on the other one
+    inc = FiniteComponentMap({0: variable(0) + 1})
+    for max_points, max_depth in ((2.5, 50), (50, 2.5), ("2", 50)):
+        with pytest.raises(ValueError, match="integers"):
+            orbit_closure([inc], SparsePoint({0: 1}), max_points, max_depth)
 
 
 def test_closure_limits_fire_honestly():

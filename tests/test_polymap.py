@@ -190,6 +190,9 @@ def test_construction_validates_inputs():
         Polynomial([(((0, -2),), 1)])
     with pytest.raises(ValueError):
         Polynomial([((), 1.5)])
+    # x_True would print as "xTrue", which parse_poly rejects
+    with pytest.raises(ValueError, match="variable index"):
+        Polynomial([(((True, 1),), 1)])
 
 
 def test_equality_and_hash_are_value_based():

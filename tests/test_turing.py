@@ -136,6 +136,8 @@ def test_halting_state_absorbs():
     # regardless of tape and head
     weird = Configuration("qa", {5: "_"}, 3, m.blank)
     assert tm_step(m, weird) is None
+    # even on a symbol outside the tape alphabet
+    assert tm_step(m, Configuration("qr", {0: "z"}, 0, m.blank)) is None
 
 
 def test_left_edge_clamp_keeps_write_and_state_change():
@@ -157,6 +159,17 @@ def test_step_rejects_unknown_state():
     m = parse_tm(RIGHT_MOVER)
     with pytest.raises(TmError):
         tm_step(m, Configuration(state="ghost", tape=(), head=0, blank="_"))
+
+
+# a table miss is a halt, an undeclared state or a foreign symbol, in that order
+@pytest.mark.parametrize("state, message", [
+    ("ghost", "unknown state 'ghost'"),
+    ("q", "symbol 'z' is not in the tape alphabet"),
+])
+def test_step_names_what_the_table_lookup_missed(state, message):
+    m = parse_tm(RIGHT_MOVER)
+    with pytest.raises(TmError, match=message):
+        tm_step(m, Configuration(state, {0: "z"}, 0, m.blank))
 
 
 def test_trajectory_accept_on_start_has_length_one():
