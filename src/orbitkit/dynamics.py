@@ -4,7 +4,10 @@ Points live on natural-number coordinates and are zero almost everywhere.
 Two map families describe every self-map the toolkit needs:
 
 * :class:`FiniteComponentMap` rewrites finitely many coordinates with
-  polynomials and leaves every other coordinate untouched.
+  polynomials and leaves every other coordinate untouched.  A component
+  ``c*x_j`` is a move: it reads one coordinate and scales it by ``c``
+  without evaluating a polynomial, and for ``c == 1`` it stores the very
+  int object it read.
 * :class:`GridRuleMap` lifts a local rule on a 3x3 planar neighborhood to
   the whole coordinate axis through a pairing, an injection of quadrant
   cells into coordinate indexes.  Every coordinate is computed by the
@@ -60,7 +63,8 @@ class SparsePoint:
     """Immutable finitely-supported map from natural coordinates to integers.
 
     Unlisted coordinates read as 0; zero values are never stored, so
-    equality and hashing agree with the function the point denotes.
+    equality and hashing agree with the function the point denotes.  A
+    coordinate listed twice keeps its last value, so a later 0 deletes it.
 
     The public constructor checks every entry.  Maps build their images
     with :meth:`_raw` instead, which checks nothing: its dict must have
@@ -81,6 +85,8 @@ class SparsePoint:
                     raise ValueError(f"value must be an integer, got {value!r}")
                 if value:
                     data[coord] = value
+                else:
+                    data.pop(coord, None)
         self._entries = data
         self._hash = None
 
@@ -193,13 +199,22 @@ class FiniteComponentMap:
     """Polynomial map with finitely many non-identity components.
 
     Coordinates absent from the component table behave as projections
-    x_i -> x_i.
+    x_i -> x_i.  Construction sorts the components into two kinds.  A
+    *move* is a single term ``c*x_j`` of degree 1, such as a swap or a sign
+    flip; application reads ``x_j`` with one dict lookup, and with ``c == 1``
+    stores the input's own int object, so images share their values with
+    the point they came from.  Every other component (a constant, 0, a
+    power, a product or a sum) is *general* and is evaluated as a
+    polynomial.  Both kinds read only the input, so all components update
+    simultaneously.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_moves", "_general")
 
     def __init__(self, components: Mapping[int, Union[Polynomial, int]]):
         table: dict[int, Polynomial] = {}
+        moves = []
+        general = []
         for coord, poly in components.items():
             if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
                 raise ValueError(f"component coordinate must be a natural number, got {coord!r}")
@@ -208,18 +223,35 @@ class FiniteComponentMap:
             if not isinstance(poly, Polynomial):
                 raise ValueError(f"component for coordinate {coord} must be a Polynomial")
             table[coord] = poly
+            terms = poly.terms
+            if len(terms) == 1:
+                [(mono, coeff)] = terms.items()
+                if len(mono) == 1 and mono[0][1] == 1:
+                    moves.append((coord, mono[0][0], coeff))
+                    continue
+            general.append((coord, poly))
         self._components = table
+        self._moves = tuple(moves)
+        self._general = tuple(general)
 
     @property
     def components(self) -> Mapping[int, Polynomial]:
         return MappingProxyType(self._components)
 
     def apply(self, x: SparsePoint) -> SparsePoint:
-        """Evaluate every component on ``x``'s own entries dict, so each variable
-        read is a plain dict lookup, and build the image without re-checking it."""
+        """Compute every component from ``x``'s own entries dict and build the
+        image without re-checking it: a move is one lookup (a variable that
+        reads 0 deletes the coordinate), a general component one ``evaluate``."""
         source = x._entries
         entries = source.copy()
-        for coord, poly in self._components.items():
+        get = source.get
+        for coord, var, coeff in self._moves:
+            v = get(var)
+            if v is None:
+                entries.pop(coord, None)
+            else:
+                entries[coord] = v if coeff == 1 else coeff * v
+        for coord, poly in self._general:
             v = poly.evaluate(source)
             if v:
                 entries[coord] = v

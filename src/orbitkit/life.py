@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterator
 
 __all__ = [
     "Cell",
@@ -18,12 +17,9 @@ __all__ = [
     "RleParseError",
     "bounding_box",
     "emit_rle",
-    "neighbor_count",
-    "neighbors",
     "parse_rle",
     "random_soup",
     "render",
-    "run",
     "step",
     "translate",
 ]
@@ -43,29 +39,10 @@ class RleParseError(ValueError):
         self.column = column
 
 
-def neighbors(cell: Cell) -> Iterator[Cell]:
-    x, y = cell
-    for dx, dy in _STEPS:
-        yield (x + dx, y + dy)
-
-
-def neighbor_count(config: LifeConfig, cell: Cell) -> int:
-    """Number of live cells among the 8 neighbors; the cell itself is excluded."""
-    return sum(n in config for n in neighbors(cell))
-
-
 def step(config: LifeConfig) -> LifeConfig:
     """One generation: birth on 3 live neighbors, survival on 2 or 3."""
     counts = Counter([(x + dx, y + dy) for x, y in config for dx, dy in _STEPS])
     return frozenset(c for c, n in counts.items() if n == 3 or (n == 2 and c in config))
-
-
-def run(config: LifeConfig, n: int) -> LifeConfig:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("step count must be a non-negative integer")
-    for _ in range(n):
-        config = step(config)
-    return config
 
 
 def translate(config: LifeConfig, dx: int, dy: int) -> LifeConfig:

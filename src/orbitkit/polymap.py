@@ -117,10 +117,6 @@ class Polynomial:
         p._tree = None
         return p
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._raw({})
-
     @property
     def terms(self) -> Mapping[Monomial, int]:
         """Read-only view of the canonical monomial -> coefficient map."""
@@ -237,10 +233,6 @@ class Polynomial:
     def support_vars(self) -> frozenset:
         """Variables occurring with positive exponent in some term."""
         return frozenset(var for mono in self._terms for var, _ in mono)
-
-    def total_degree(self) -> int:
-        """Largest total degree among terms (0 for the zero polynomial)."""
-        return max((sum(e for _, e in m) for m in self._terms), default=0)
 
     def to_text(self) -> str:
         """Canonical text: terms by descending total degree, then variable order."""

@@ -47,6 +47,22 @@ def dense_step(cells):
     return frozenset(out)
 
 
+def neighbors(cell):
+    """The eight cells around ``cell``, the cell itself excluded."""
+    x, y = cell
+    return [(x + dx, y + dy) for dx, dy in NEIGHBOR_OFFSETS]
+
+
+def neighbor_count(config, cell):
+    """Live cells among the eight neighbors of ``cell``."""
+    return sum(n in config for n in neighbors(cell))
+
+
+def total_degree(poly):
+    """Largest total degree among the terms of ``poly`` (0 for the zero polynomial)."""
+    return max((sum(e for _, e in mono) for mono in poly.terms), default=0)
+
+
 def rho_step(preperiod, period):
     """Step function of the canonical rho sequence on 0, 1, 2, ...:
     a tail of `preperiod` states feeding a cycle of `period` states."""

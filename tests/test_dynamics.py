@@ -67,6 +67,17 @@ def test_sparse_point_equality_and_hash():
     assert len({a, b}) == 1
 
 
+def test_sparse_point_repeated_coordinates_are_last_wins():
+    later_value = SparsePoint([(0, 1), (0, 2)])
+    assert later_value == SparsePoint({0: 2})
+    assert hash(later_value) == hash(SparsePoint({0: 2}))
+    # a later zero deletes the earlier entry instead of being skipped
+    later_zero = SparsePoint([(0, 1), (0, 0)])
+    assert later_zero == SparsePoint() and emit_point(later_zero) == ""
+    assert hash(later_zero) == hash(SparsePoint())
+    assert SparsePoint([(3, 0), (3, -4)]) == SparsePoint({3: -4})
+
+
 def test_emit_point_is_sorted():
     p = SparsePoint({12: 7, 0: 1, 5: -3})
     assert emit_point(p) == "0:1 5:-3 12:7"
@@ -239,7 +250,16 @@ component_polys = st.lists(
 @given(st.data())
 def test_component_apply_matches_checking_reference(data):
     x = data.draw(wide_points)
-    components = data.draw(st.dictionaries(st.integers(0, 12), component_polys, max_size=5))
+    # moves c*x_j read variables on x's support and off it (those read 0)
+    var = st.one_of(st.sampled_from(sorted(x.support() | {13})), st.integers(0, 14))
+    move = st.builds(lambda j, c: c * variable(j), var, st.sampled_from((1, -1, 1, -1, 3)))
+    kinds = st.one_of(move, move, st.integers(-2, 2).map(constant), component_polys)
+    components = data.draw(st.dictionaries(st.integers(0, 14), kinds, max_size=6))
+    if data.draw(st.booleans()):
+        coord = data.draw(var)
+        components[coord] = -variable(coord)  # reads the coordinate it writes
+    for a, b in data.draw(st.lists(st.tuples(var, var), max_size=2)):
+        components[a], components[b] = variable(b), variable(a)  # a swap
     # some components cancel to 0 on x; on x's support that removes the coordinate
     for coord in data.draw(st.sets(st.sampled_from(sorted(set(components) | x.support() | {0})))):
         poly = components.get(coord, variable(coord))
@@ -254,6 +274,38 @@ def test_component_apply_matches_checking_reference(data):
     assert all(type(c) is int and c >= 0 and type(v) is int and v != 0 for c, v in got.items())
     assert list(x.items()) == before
     assert hash(x) == h == hash(SparsePoint(before))
+
+
+def test_component_apply_pin_mixes_moves_and_general_components():
+    m = FiniteComponentMap({0: -variable(0), 1: variable(2), 2: variable(1), 3: 5 * variable(7),
+                            4: variable(0) ** 2 + 1, 6: constant(0)})
+    big = 2**100 + 1
+    x = SparsePoint({0: big, 1: 3, 2: -7, 6: 9, 7: 4, 9: 11})
+    assert m.apply(x) == SparsePoint({0: -big, 1: -7, 2: 3, 3: 20, 4: big**2 + 1, 7: 4, 9: 11})
+    # moves from x2 and x7, both 0 here, delete coordinates 1 and 3
+    y = SparsePoint({0: -5, 1: 3, 3: 8})
+    assert m.apply(y) == SparsePoint({0: 5, 2: 3, 4: 26})
+    assert m.apply(y) == reference_component_apply(m, y)
+
+
+def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
+    x = SparsePoint({0: 2**320 + 1, 1: -(2**300), 5: 7})
+    m = FiniteComponentMap({0: variable(1), 1: variable(0), 2: -variable(5),
+                            5: 3 * variable(5), 9: variable(4)})
+    calls = count_calls(monkeypatch, Polynomial, "evaluate")
+    y = m.apply(x)
+    assert calls == []
+    assert y == SparsePoint({0: -(2**300), 1: 2**320 + 1, 2: -7, 5: 21})
+    # a coefficient-1 move stores the input's own int object, not a copy
+    assert y[0] is x[1] and y[1] is x[0]
+
+
+def test_general_components_are_evaluated_once_each(monkeypatch):
+    m = FiniteComponentMap({0: variable(0) ** 2, 1: variable(0) + variable(1), 2: constant(4),
+                            3: constant(0), 4: variable(2), 5: 2 * variable(0) * variable(1)})
+    calls = count_calls(monkeypatch, Polynomial, "evaluate")
+    assert m.apply(SparsePoint({0: 3, 1: 5, 2: 1})) == SparsePoint({0: 9, 1: 8, 2: 4, 4: 1, 5: 30})
+    assert calls == ["evaluate"] * 5
 
 
 def test_maps_and_encode_build_points_without_the_checking_constructor(monkeypatch):

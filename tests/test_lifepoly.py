@@ -161,7 +161,7 @@ def test_rule_check_reads_only_variables_below_nonzero_prefixes():
 
 
 def test_moebius_rule_equals_the_sum_of_pattern_products():
-    expected = Polynomial.zero()
+    expected = Polynomial()
     for bits in life_patterns():
         expected = expected + pattern_term(bits)
     assert dict(build_local_rule().terms) == dict(expected.terms)
@@ -169,7 +169,7 @@ def test_moebius_rule_equals_the_sum_of_pattern_products():
 
 @given(st.sets(st.sampled_from(ALL_INPUTS), max_size=40))
 def test_expanded_pattern_set_equals_the_sum_of_pattern_products(patterns):
-    expected = Polynomial.zero()
+    expected = Polynomial()
     for bits in patterns:
         expected = expected + pattern_term(bits)
     assert expand_patterns(patterns) == expected
