@@ -14,11 +14,14 @@ Two map families describe every self-map the toolkit needs:
   rule, so the rule must send the all-zero neighborhood to 0; that keeps
   images finitely supported and is checked at construction.  On 0/1
   points the rule takes only 512 inputs, so construction compiles it to
-  a 512-entry table and application reads that table through 9-bit
-  neighborhood masks; points holding any other value are evaluated with
-  the polynomial itself.  This module owns the mask convention (bit i
-  stands for x_i) and :func:`subset_transform`, which
-  :mod:`orbitkit.lifepoly` also runs to expand pattern sets into rules.
+  a 512-entry table, and the table to one decision diagram per nonzero
+  value.  A 0/1 point whose bounding box is dense is packed into one int
+  and runs the diagrams on whole boards at once; a sparse one reads the
+  table through 9-bit neighborhood masks, cell by cell.  Points holding
+  any other value are evaluated with the polynomial itself.  This module
+  owns the mask convention (bit i stands for x_i) and
+  :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs to
+  expand pattern sets into rules.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -279,6 +282,38 @@ def subset_transform(entries: Iterable[tuple[int, int]], sign: int) -> list[int]
     return values
 
 
+# A 0/1 point is packed when the packed int has at most this many bits per live
+# cell, about where the packed and the per-cell path cost the same.
+_PACKED_BITS_PER_CELL = 256
+
+
+def _diagram(truth) -> tuple:
+    """Reduced ordered decision diagram of a 0/1 function of the 9-bit mask, given
+    by its 512 values: x8 at the root, x0 above the leaves.  Node k is
+    ``(var, lo, hi)``, where ``lo`` and ``hi`` name false as 0, true as 1 and node
+    j as j + 2, so every node follows its children and the root comes last."""
+    nodes: list = []
+    ids: dict = {}
+
+    def build(t):
+        if not any(t):
+            return 0
+        if all(t):
+            return 1
+        half = len(t) // 2
+        lo, hi = build(t[:half]), build(t[half:])
+        if lo == hi:
+            return lo
+        key = (half.bit_length() - 1, lo, hi)
+        if key not in ids:
+            nodes.append(key)
+            ids[key] = len(nodes) + 1
+        return ids[key]
+
+    build(tuple(truth))
+    return tuple(nodes)
+
+
 class GridRuleMap:
     """Shift-invariant local rule lifted to the coordinate axis via a pairing.
 
@@ -287,16 +322,32 @@ class GridRuleMap:
     result can be nonzero, by the zero-at-zero check); neighbors outside
     the quadrant read as constant 0.
 
-    When every value of the point is 1, each live cell ORs its bit into
-    the 9-bit mask of every cell in its 3x3 block (bit i stands for x_i),
-    and a cell's image is ``table[mask]``.  The table holds the rule's
-    value on all 512 0/1 neighborhoods: each monomial's coefficient sits
-    at the mask of its variables (x^k = x on 0/1 inputs) and
-    :func:`subset_transform` adds up every monomial a neighborhood switches
-    on.  Any other point takes the generic path, one ``rule.evaluate`` per cell.
+    The table holds the rule's value on all 512 0/1 neighborhoods (bit i
+    of a mask stands for x_i): each monomial's coefficient sits at the mask
+    of its variables (x^k = x on 0/1 inputs) and :func:`subset_transform`
+    adds up every monomial a neighborhood switches on.  For each nonzero
+    value v of the table, construction also builds the reduced ordered
+    decision diagram (Bryant, 1986) of "the table reads v", an immutable
+    tuple of ``(var, lo, hi)`` nodes; the Life rule's has 26 nodes.
+
+    When every value of the point is 1, application picks one of two
+    paths by comparing the size of the packed int (the bounding box with
+    a two-cell margin) with the number of live cells:
+
+    * *packed*, for a dense box: the live cells become the bits of one
+      int at a fixed row stride, the nine neighbor boards are shifts of
+      it, and each diagram is evaluated once for the whole board, a node
+      as ``(X & hi) | (~X & lo)``; the set bits of its root are the cells
+      that map to v.
+    * *per cell*, for a sparse box: each live cell ORs its bit into the
+      9-bit mask of every cell in its 3x3 block, and a cell's image is
+      ``table[mask]``.  Memory stays in proportion to the live cells, so
+      cells far apart never build a large int.
+
+    Any other point takes the generic path, one ``rule.evaluate`` per cell.
     """
 
-    __slots__ = ("_rule", "_pairing", "_table")
+    __slots__ = ("_rule", "_pairing", "_table", "_diagrams")
 
     def __init__(self, rule: Polynomial, pairing: PairingSpec):
         if rule.evaluate({}) != 0:
@@ -309,6 +360,8 @@ class GridRuleMap:
         self._table = subset_transform(
             ((sum(1 << var for var, _ in mono), coeff) for mono, coeff in rule.terms.items()), 1
         )
+        self._diagrams = tuple((value, _diagram([v == value for v in self._table]))
+                               for value in sorted(set(self._table) - {0}))
 
     @property
     def rule(self) -> Polynomial:
@@ -318,6 +371,13 @@ class GridRuleMap:
         inverse = self._pairing.inverse
         forward = self._pairing.forward
         cells = {inverse(idx): value for idx, value in x.items()}
+        binary = all(v == 1 for v in cells.values())
+        if binary and cells:
+            xs, ys = zip(*cells)
+            a0, b0 = min(xs), min(ys)
+            width, height = max(xs) - a0 + 1, max(ys) - b0 + 1
+            if (width + 4) * (height + 4) <= _PACKED_BITS_PER_CELL * len(cells):
+                return self._apply_packed(cells, a0, b0, width, height)
         masks: dict[tuple[int, int], int] = {}
         get = masks.get
         for a, b in cells:
@@ -325,7 +385,7 @@ class GridRuleMap:
                 key = (a + da, b + db)
                 masks[key] = get(key, 0) | bit
         out: dict[int, int] = {}
-        if all(v == 1 for v in cells.values()):
+        if binary:
             table = self._table
             for (a, b), mask in masks.items():
                 v = table[mask]
@@ -340,6 +400,40 @@ class GridRuleMap:
                                   for i, (da, db) in enumerate(_OFFSETS9)})
                     if v:
                         out[forward(a, b)] = v
+        return SparsePoint._raw(out)
+
+    def _apply_packed(self, cells, a0: int, b0: int, width: int, height: int) -> SparsePoint:
+        forward = self._pairing.forward
+        stride = width + 4
+        # cell (a, b) is bit (b - b0 + 2) * stride + (a - a0 + 2): two empty rows and
+        # columns on every side, so every cell next to the box reads its whole 3x3
+        # block from its own row and the rows above and below
+        low = (b0 - 2) * stride + a0 - 2
+        packed = bytearray((height + 2) * stride // 8 + 1)
+        for a, b in cells:
+            p = b * stride + a - low
+            packed[p >> 3] |= 1 << (p & 7)
+        board = int.from_bytes(packed, "little")
+        # boards[i] has the bit of each cell set when its neighbor x_i is live
+        boards = [board >> s if s >= 0 else board << -s
+                  for s in (db * stride + da for da, db in _OFFSETS9)]
+        out: dict[int, int] = {}
+        for value, diagram in self._diagrams:
+            # true is -1, every bit set; the rule sends an all-dead 3x3 block to 0,
+            # so the root's board is a natural int within the box dilated by 1
+            node = [0, -1]
+            for var, lo, hi in diagram:
+                on = boards[var]
+                node.append((on & node[hi]) | (~on & node[lo]))
+            bits = bin(node[-1])[:1:-1]  # bit p at bits[p]
+            p = bits.find("1")
+            while p != -1:
+                b, a = divmod(p, stride)
+                a += a0 - 2
+                b += b0 - 2
+                if a >= 0 and b >= 0:
+                    out[forward(a, b)] = value
+                p = bits.find("1", p + 1)
         return SparsePoint._raw(out)
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from math import isqrt
 
 from .dynamics import GridRuleMap, PairingSpec, SparsePoint, subset_transform
 from .life import LifeConfig
-from .polymap import Polynomial, constant, variable
+from .polymap import Polynomial
 
 __all__ = [
     "NotAConfigurationError",
@@ -41,10 +41,8 @@ __all__ = [
     "expand_patterns",
     "life_patterns",
     "pair",
-    "pattern_factors",
     "pattern_product_text",
     "pattern_sum_text",
-    "pattern_term",
     "quadrant_safe",
     "unpair",
 ]
@@ -80,20 +78,6 @@ def life_patterns() -> tuple[Pattern9, ...]:
     return tuple(bits for bits in product((0, 1), repeat=9) if _next_center(bits))
 
 
-def pattern_factors(bits) -> tuple[Polynomial, ...]:
-    """The nine affine factors of a pattern's indicator product."""
-    bits = _check_pattern(bits)
-    return tuple(variable(i) if b else constant(1) - variable(i) for i, b in enumerate(bits))
-
-
-def pattern_term(bits) -> Polynomial:
-    """Indicator polynomial: 1 exactly on ``bits`` among the 512 0/1 inputs."""
-    term = constant(1)
-    for factor in pattern_factors(bits):
-        term = term * factor
-    return term
-
-
 def pattern_product_text(bits) -> str:
     bits = _check_pattern(bits)
     return "*".join(f"x{i}" if b else f"(1-x{i})" for i, b in enumerate(bits))
@@ -105,7 +89,7 @@ def pattern_sum_text() -> str:
 
 
 def expand_patterns(patterns) -> Polynomial:
-    """Expanded sum of :func:`pattern_term` over ``patterns``; for distinct
+    """Expanded sum of the indicator products of ``patterns``; for distinct
     patterns, 1 exactly on them among the 512 0/1 inputs.  Each product is
     multilinear, so the coefficient of x^S is the sum over patterns P with
     live(P) within S of (-1)^|S - live(P)|, a subset Moebius transform."""

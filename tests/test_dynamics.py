@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitkit import cli, life
+from orbitkit import cli, dynamics, life
 from orbitkit.dynamics import (
     NEIGHBOR_OFFSETS,
     FiniteComponentMap,
@@ -343,9 +345,19 @@ def test_symbolic_composition_matches_numeric_double_apply():
             assert iterate(f, x, 2) == reference_component_apply(f, once)
 
 
-# Cells on row and column 0 included: their off-quadrant neighbors read as 0.
-binary_points = st.frozensets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30).map(
-    lambda cells: SparsePoint({pair(a, b): 1 for a, b in cells})
+# A dense cluster, cells on row 0 and column 0 next to it (their off-quadrant
+# neighbors read as 0), and a few cells nearby or up to 10**12 away, so that
+# either side of the switch between the packed and the per-cell path runs.
+cluster = st.frozensets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30)
+edge_cells = st.frozensets(
+    st.one_of(st.tuples(st.just(0), st.integers(0, 9)), st.tuples(st.integers(0, 9), st.just(0))),
+    max_size=4,
+)
+near_or_far = st.one_of(st.integers(0, 60), st.integers(0, 10**12))
+far_cells = st.frozensets(st.tuples(near_or_far, near_or_far), max_size=3)
+binary_points = st.builds(
+    lambda *parts: SparsePoint({pair(a, b): 1 for a, b in frozenset().union(*parts)}),
+    cluster, edge_cells, far_cells,
 )
 mixed_points = (
     st.dictionaries(
@@ -377,13 +389,54 @@ def _counting_evaluate():
 
 def _check_against_reference(rule, x, *, table_path):
     m = GridRuleMap(rule, cantor_pairing())
-    with _counting_evaluate() as evaluate:
-        got = m.apply(x)
-    assert got == reference_grid_apply(rule, x)
-    if table_path:
-        assert evaluate.call_count == 0
-    else:
-        assert evaluate.call_count > 0
+    expected = reference_grid_apply(rule, x)
+    # the switch as it stands, then the per-cell path, then the packed path on a small box
+    limits = [dynamics._PACKED_BITS_PER_CELL, 0]
+    if all(a < 100 and b < 100 for a, b in map(unpair, x.support())):
+        limits.append(10**9)
+    for limit in limits:
+        with mock.patch.object(dynamics, "_PACKED_BITS_PER_CELL", limit), \
+                _counting_evaluate() as evaluate:
+            got = m.apply(x)
+        assert got == expected
+        if table_path:
+            assert evaluate.call_count == 0
+        else:
+            assert evaluate.call_count > 0
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_RULES))
+def test_each_nonzero_table_value_has_its_diagram(name):
+    m = GridRuleMap(NAMED_RULES[name](), cantor_pairing())
+    [(value, diagram)] = m._diagrams
+    assert value == 1 and type(diagram) is tuple
+    assert len(diagram) == {"life": 26, "corrupt": 23}[name]
+    for mask in range(512):
+        # a node's children come before it, so one pass in order reaches the root
+        node = [0, 1]
+        for var, lo, hi in diagram:
+            assert lo < len(node) and hi < len(node) and lo != hi
+            node.append(node[hi] if mask >> var & 1 else node[lo])
+        assert node[-1] == (m._table[mask] == 1)
+
+
+def test_map_on_cells_far_apart_stays_small():
+    # two blocks about 10**12 apart: the packed path would need a 10**24-bit int
+    block = {(1, 1), (2, 1), (1, 2), (2, 2)}
+    cells = block | {(a + 10**12, b + 10**12 - 7) for a, b in block}
+    x = SparsePoint({pair(a, b): 1 for a, b in cells})
+    gol = build_gol_map()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        got = gol.apply(x)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == x
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_RULES))

@@ -1,4 +1,7 @@
 import random
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -26,6 +29,7 @@ from helpers import (
     dense_step,
     neighbor_count,
     neighbors,
+    reference_step,
 )
 
 cells = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
@@ -67,6 +71,40 @@ def test_step_support_stays_in_dilation(c):
 @given(configs)
 def test_step_matches_dense_reference(c):
     assert step(c) == dense_step(c)
+
+
+# a dense cluster and a few cells nearby or up to 10**12 away, negative
+# coordinates included, so that either side of the packed/Counter switch runs
+near_or_far = st.one_of(st.integers(-60, 60), st.integers(-(10**12), 10**12))
+mixed_configs = st.builds(frozenset.union, configs,
+                          st.frozensets(st.tuples(near_or_far, near_or_far), max_size=3))
+
+
+@given(mixed_configs)
+def test_step_matches_sparse_reference_on_either_path(c):
+    expected = reference_step(c)
+    assert step(c) == expected
+    with mock.patch.object(life, "_PACKED_BITS_PER_CELL", 0):
+        assert step(c) == expected
+    if all(abs(x) < 100 and abs(y) < 100 for x, y in c):
+        with mock.patch.object(life, "_PACKED_BITS_PER_CELL", 10**9):
+            assert step(c) == expected
+
+
+def test_step_on_cells_far_apart_stays_small():
+    # three blocks 10**12 and more apart: the packed path would need a 10**24-bit int
+    far = BLOCK | translate(BLOCK, 10**12, -(10**12)) | translate(BLOCK, -(10**12), 10**12)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        got = step(far)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == far
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_still_life_characterization_on_known_patterns():

@@ -19,15 +19,21 @@ from orbitkit.lifepoly import (
     expand_patterns,
     life_patterns,
     pair,
-    pattern_factors,
     pattern_product_text,
-    pattern_term,
     quadrant_safe,
     unpair,
 )
 from orbitkit.polymap import Polynomial, constant, variable
 
-from helpers import BLINKER, BLOCK, TOAD, count_calls, reference_pattern_sum
+from helpers import (
+    BLINKER,
+    BLOCK,
+    TOAD,
+    count_calls,
+    pattern_factors,
+    pattern_term,
+    reference_pattern_sum,
+)
 
 ALL_INPUTS = tuple(product((0, 1), repeat=9))
 BIRTH_PROBE = (0, 1, 1, 1, 0, 0, 0, 0, 0)

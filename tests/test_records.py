@@ -28,24 +28,31 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "record, text",
-    [
-        (Periodic(1, 2), "Periodic(preperiod=1, period=2)"),
-        (Terminated(3), "Terminated(steps=3)"),
-        (Exhausted(4), "Exhausted(budget=4)"),
-        (Stable(2), "Stable(orbit_size=2, witness=None)"),
-        (Stable(2, (0, 2)), "Stable(orbit_size=2, witness=(0, 2))"),
-        (Unknown(5, "budget"), "Unknown(points_explored=5, budget_hit='budget')"),
-        (PairingSpec("cantor", pair, unpair),
-         f"PairingSpec(name='cantor', forward={pair!r}, inverse={unpair!r})"),
-        # the order of a frozenset's repr follows string hashing, which varies by process
-        (M, f"TMDesc(states={M.states!r}, input_alphabet=frozenset(), "
-         "tape_alphabet=frozenset({'_'}), blank='_', "
-         "transitions=mappingproxy({('q', '_'): ('qa', '_', 'R')}), "
-         "start='q', accept='qa', reject='qr')"),
-    ],
-)
+REPR_CASES = [
+    (Periodic(1, 2), "Periodic(preperiod=1, period=2)"),
+    (Terminated(3), "Terminated(steps=3)"),
+    (Exhausted(4), "Exhausted(budget=4)"),
+    (Stable(2), "Stable(orbit_size=2, witness=None)"),
+    (Stable(2, (0, 2)), "Stable(orbit_size=2, witness=(0, 2))"),
+    (Unknown(5, "budget"), "Unknown(points_explored=5, budget_hit='budget')"),
+    (PairingSpec("cantor", pair, unpair),
+     f"PairingSpec(name='cantor', forward={pair!r}, inverse={unpair!r})"),
+    # the order of a frozenset's repr follows string hashing, which varies by process
+    (M, f"TMDesc(states={M.states!r}, input_alphabet=frozenset(), "
+     "tape_alphabet=frozenset({'_'}), blank='_', "
+     "transitions=mappingproxy({('q', '_'): ('qa', '_', 'R')}), "
+     "start='q', accept='qa', reject='qr')"),
+]
+# Fixed ids: the last two reprs hold function addresses and a frozenset in hash
+# order, so ids taken from them would change from process to process.
+REPR_IDS = [f"record{i}-{text}" for i, (_, text) in enumerate(REPR_CASES[:6])] + [
+    "record6-PairingSpec(name='cantor', forward=<function pair at ...>, "
+    "inverse=<function unpair at ...>)",
+    "record7-TMDesc(states=frozenset({'q', 'qa', 'qr'}), input_alphabet=frozenset(), ...)",
+]
+
+
+@pytest.mark.parametrize("record, text", REPR_CASES, ids=REPR_IDS)
 def test_repr_is_pinned(record, text):
     assert repr(record) == text
 
