@@ -109,7 +109,7 @@ def detect_hashset(step: StepFn, start: S, budget: int) -> CycleVerdict:
     entry, so the collision indices are exactly the minimal preperiod
     and period.
     """
-    if not isinstance(budget, int) or budget < 0:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise ValueError("budget must be a non-negative integer")
     seen = {start: 0}
     state = start
@@ -134,7 +134,7 @@ def detect_brent(step: StepFn, start: S, budget: int) -> CycleVerdict:
     tail), so under a tight budget it may report Exhausted where the
     hash-set detector succeeds; the budget accounting is still exact.
     """
-    if not isinstance(budget, int) or budget < 0:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
         raise ValueError("budget must be a non-negative integer")
     used = 0
 

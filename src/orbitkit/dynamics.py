@@ -100,6 +100,21 @@ class SparsePoint:
         p._hash = None
         return p
 
+    def _key(self) -> tuple:
+        """The point as one flat tuple: its sorted coordinates, then their values
+        in the same order.  Equal points give equal keys, and the length gives
+        the support size, so the key is injective."""
+        entries = self._entries
+        coords = sorted(entries)
+        return (*coords, *map(entries.__getitem__, coords))
+
+    @classmethod
+    def _from_key(cls, key: tuple) -> "SparsePoint":
+        """Inverse of :meth:`_key`, checking nothing, like :meth:`_raw`: a key
+        made from a point already has natural coordinates and nonzero values."""
+        n = len(key) >> 1
+        return cls._raw(dict(zip(key[:n], key[n:])))
+
     def get(self, coord: int, default: int = 0) -> int:
         return self._entries.get(coord, default)
 
@@ -445,7 +460,7 @@ PolyMapDesc = Union[FiniteComponentMap, GridRuleMap]
 
 def iterate(m: PolyMapDesc, x: SparsePoint, n: int) -> SparsePoint:
     """n-fold application; ``iterate(m, x, 0)`` is ``x``."""
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("iteration count must be a non-negative integer")
     for _ in range(n):
         x = m.apply(x)

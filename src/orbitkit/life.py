@@ -17,6 +17,7 @@ from collections import Counter
 __all__ = [
     "Cell",
     "LifeConfig",
+    "MAX_RLE_CELLS",
     "RleParseError",
     "bounding_box",
     "emit_rle",
@@ -34,6 +35,9 @@ _STEPS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 # A configuration is packed when the packed int has at most this many bits per
 # live cell, about where the packed and the per-cell path cost the same.
 _PACKED_BITS_PER_CELL = 1024
+# parse_rle expands at most this many live cells, so a short file cannot ask for
+# a pattern that costs gigabytes
+MAX_RLE_CELLS = 100_000
 
 
 class RleParseError(ValueError):
@@ -123,7 +127,11 @@ def parse_rle(text: str) -> LifeConfig:
     runs of ``b``/``o``/``$``, and a ``!`` terminator after which the
     rest of the input is ignored.  The pattern is anchored so its first
     row and column are 0, and every live cell must lie in the declared
-    ``w`` x ``h`` box, so a run costs at most the box the header declares.
+    ``w`` x ``h`` box.  A run that would take the pattern past
+    ``MAX_RLE_CELLS`` (100,000) live cells is an error raised before the
+    run is expanded, so a file of a few bytes costs at most that many
+    cells whatever its header declares; every run counts, also one that
+    a zero-count ``$`` lays over cells already live.
     """
     lines = text.splitlines()
     header_at = None
@@ -141,6 +149,7 @@ def parse_rle(text: str) -> LifeConfig:
         raise RleParseError("missing header line", max(len(lines), 1), 1)
 
     cells = set()
+    expanded = 0
     x = y = count = 0
     has_count = False
     for li in range(header_at + 1, len(lines)):
@@ -159,6 +168,10 @@ def parse_rle(text: str) -> LifeConfig:
                 if n and (x + n > width or y >= height):
                     raise RleParseError(
                         f"live cell outside the declared {width} x {height} box", li + 1, ci + 1)
+                expanded += n
+                if expanded > MAX_RLE_CELLS:
+                    raise RleParseError(
+                        f"pattern has more than {MAX_RLE_CELLS} live cells", li + 1, ci + 1)
                 for k in range(n):
                     cells.add((x + k, y))
                 x += n

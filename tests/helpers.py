@@ -3,6 +3,7 @@
 from orbitkit.cycles import Exhausted, Periodic, Terminated
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
 from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
+from orbitkit.orbit import Stable, Unknown
 from orbitkit.polymap import constant, variable
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
@@ -205,3 +206,28 @@ def reference_pattern_sum(values):
             prod *= v if bit else 1 - v
         total += prod
     return total
+
+
+def reference_closure(generators, x, max_points, max_depth):
+    """Breadth-first closure that stores the points themselves, with the limit
+    accounting of ``orbit.orbit_closure``; independent of the flat keys behind
+    it.  Returns the verdict, the set of points visited, and the number of
+    levels expanded."""
+    visited = {x}
+    frontier = [x]
+    depth = 0
+    while frontier:
+        if depth == max_depth:
+            return Unknown(len(visited), "max_depth"), visited, depth
+        depth += 1
+        next_frontier = []
+        for point in frontier:
+            for g in generators:
+                y = g.apply(point)
+                if y not in visited:
+                    if len(visited) == max_points:
+                        return Unknown(len(visited), "max_points"), visited, depth
+                    visited.add(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return Stable(len(visited)), visited, depth

@@ -437,6 +437,22 @@ def test_live_cell_outside_the_declared_box_is_input_error(rle, args, tmp_path, 
     assert "outside the declared" in err and "Traceback" not in err
 
 
+# a header may declare a box of 10**6 cells; the cell cap stops the run inside it
+@pytest.mark.parametrize("args", [["life", "step", "s.rle"],
+                                  ["orbit", "check", "--encode", "s.rle", "--map", "gol"]],
+                         ids=["life-step", "orbit-encode"])
+def test_pattern_past_the_cell_cap_is_input_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.rle").write_text("x = 1000000, y = 1\n1000000o!\n")
+    assert (tmp_path / "s.rle").stat().st_size == 29
+    started = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert out == ""
+    assert "more than 100000 live cells (line 2, column 8)" in err and "Traceback" not in err
+
+
 # "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError
 @pytest.mark.parametrize(
     "name, text, args",

@@ -168,6 +168,14 @@ def test_budget_validation_and_edge():
         detect_brent(lambda n: n, 0, -1)
 
 
+@pytest.mark.parametrize("detect", [detect_hashset, detect_brent])
+@pytest.mark.parametrize("budget", [True, False])
+def test_budget_rejects_bool(detect, budget):
+    # Exhausted(budget=True) would print a token no parser accepts
+    with pytest.raises(ValueError, match="integer"):
+        detect(lambda n: n + 1, 0, budget)
+
+
 def test_verdict_validation():
     with pytest.raises(ValueError):
         Periodic(0, 0)

@@ -56,6 +56,25 @@ def test_sparse_point_validation():
             SparsePoint(entries)
 
 
+def test_key_is_sorted_coordinates_then_values():
+    assert SparsePoint({5: -3, 0: 1})._key() == (0, 5, 1, -3)
+    assert SparsePoint()._key() == ()
+    # one point's values may read as another's coordinates; the length tells them apart
+    assert SparsePoint({0: 1, 1: 2})._key() != SparsePoint({0: 1})._key()
+
+
+@given(points)
+def test_from_key_inverts_key(p):
+    q = SparsePoint._from_key(p._key())
+    assert q == p
+    assert dict(q.items()) == dict(p.items())
+
+
+@given(points, points)
+def test_keys_are_injective(p, q):
+    assert (p._key() == q._key()) == (p == q)
+
+
 def test_component_map_rejects_a_bool_coordinate():
     with pytest.raises(ValueError, match="coordinate"):
         FiniteComponentMap({True: variable(0)})
@@ -139,6 +158,9 @@ def test_iterate():
     assert iterate(m, x, 10) == SparsePoint({0: 1024})
     with pytest.raises(ValueError):
         iterate(m, x, -1)
+    for n in (True, False):
+        with pytest.raises(ValueError, match="integer"):
+            iterate(m, x, n)
 
 
 def test_apply_dispatches():

@@ -185,6 +185,24 @@ def test_parse_keeps_live_cells_inside_the_declared_box():
         parse_rle("x = 0, y = 0\no!")
 
 
+def test_parse_caps_the_live_cells_before_expanding_a_run():
+    cap = life.MAX_RLE_CELLS
+    assert len(parse_rle(f"x = {cap}, y = 1\n{cap}o!")) == cap
+    started = time.perf_counter()
+    with pytest.raises(RleParseError, match=f"more than {cap} live cells") as exc:
+        parse_rle("x = 1000000, y = 1\n1000000o!")
+    assert time.perf_counter() - started < 1
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    # the cap counts every row's runs together
+    half = cap // 2 + 1
+    with pytest.raises(RleParseError, match="live cells") as exc:
+        parse_rle(f"x = {half}, y = 2\n{half}o$\n{half}o!")
+    assert (exc.value.line, exc.value.column) == (3, len(str(half)) + 1)
+    # and a run laid over live cells again by a zero-count "$" counts again
+    with pytest.raises(RleParseError, match="live cells"):
+        parse_rle(f"x = {half}, y = 1\n{half}o0${half}o!")
+
+
 # "²" is a digit to str.isdigit but not to int(), and "٣" (Arabic-Indic three) is
 # one to both; the RLE dialect counts in ASCII digits only
 @pytest.mark.parametrize("bad", ["x = ٣, y = 1\no!", "x = 1, y = 1\n²o!", "x = 3, y = 1\n٣o!"])

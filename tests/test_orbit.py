@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from orbitkit import cycles, life
-from orbitkit.dynamics import FiniteComponentMap, SparsePoint
-from orbitkit.lifepoly import build_gol_map, encode, quadrant_safe
+from orbitkit import cycles, life, orbit
+from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint
+from orbitkit.lifepoly import build_gol_map, cantor_pairing, encode, quadrant_safe
 from orbitkit.orbit import (
     Stable,
     Unknown,
@@ -13,9 +16,9 @@ from orbitkit.orbit import (
     orbit_closure,
     report_line,
 )
-from orbitkit.polymap import Polynomial, variable
+from orbitkit.polymap import Polynomial, constant, variable
 
-from helpers import BLINKER, BLOCK, GLIDER, TOAD
+from helpers import BLINKER, BLOCK, GLIDER, TOAD, count_calls, reference_closure
 
 
 def random_component_map(rng):
@@ -53,8 +56,9 @@ def test_increment_map_is_unknown():
 
 
 def test_singleton_budget_validation():
-    with pytest.raises(ValueError):
-        is_stable_singleton(FiniteComponentMap({}), SparsePoint(), 0)
+    for budget in (0, True):
+        with pytest.raises(ValueError):
+            is_stable_singleton(FiniteComponentMap({}), SparsePoint(), budget)
 
 
 def test_closure_identity_generator():
@@ -82,9 +86,10 @@ def test_closure_rejects_empty_generators_and_bad_limits():
         orbit_closure([], SparsePoint(), 10, 10)
     with pytest.raises(ValueError):
         orbit_closure([FiniteComponentMap({})], SparsePoint(), 0, 10)
-    # a fractional limit is never reached, so the walk would stop on the other one
+    # a fractional limit is never reached, so the walk would stop on the other one,
+    # and True would run as a limit of 1
     inc = FiniteComponentMap({0: variable(0) + 1})
-    for max_points, max_depth in ((2.5, 50), (50, 2.5), ("2", 50)):
+    for max_points, max_depth in ((2.5, 50), (50, 2.5), ("2", 50), (True, 50), (50, True)):
         with pytest.raises(ValueError, match="integers"):
             orbit_closure([inc], SparsePoint({0: 1}), max_points, max_depth)
 
@@ -97,6 +102,88 @@ def test_closure_limits_fire_honestly():
     assert orbit_closure([inc], SparsePoint(), 100, 5) == Unknown(
         points_explored=6, budget_hit="max_depth"
     )
+
+
+# A point uses coordinates 0-5; a move may also read 6 or 7, which stay absent
+# until a constant sets them, so moves delete coordinates as well as move them.
+COORDS = range(8)
+components = st.one_of(
+    st.builds(lambda c, j: c * variable(j), st.sampled_from((1, -1, 2)), st.sampled_from(COORDS)),
+    st.sampled_from((1, -2, 3)).map(constant),
+    st.just(constant(0)),
+)
+component_maps = st.dictionaries(
+    st.sampled_from(COORDS), components, min_size=1, max_size=4).map(FiniteComponentMap)
+# linear rules keep values small: the identity, a sign flip, shifts toward the
+# origin (cells fall off the quadrant), their sum, and a shift away from it
+GRID_RULES = (variable(0), -variable(0), variable(5), variable(7),
+              variable(5) + variable(7), variable(4))
+grid_maps = st.sampled_from(GRID_RULES).map(lambda rule: GridRuleMap(rule, cantor_pairing()))
+generator_lists = st.tuples(st.lists(component_maps, min_size=1, max_size=3),
+                            st.lists(grid_maps, max_size=1)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1]))
+small_points = st.dictionaries(
+    st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4).map(SparsePoint)
+
+
+def check_against_reference(gens, x, max_points, max_depth):
+    expected, points, _ = reference_closure(gens, x, max_points, max_depth)
+    assert orbit_closure(gens, x, max_points, max_depth) == expected
+    verdict, keys = orbit._explore(gens, x, max_points, max_depth)
+    assert verdict == expected
+    assert {SparsePoint._from_key(key) for key in keys} == points
+    orbit_set = enumerate_orbit(gens, x, max_points, max_depth)
+    assert orbit_set == (frozenset(points) if isinstance(expected, Stable) else None)
+    return expected
+
+
+@given(generator_lists, small_points, st.integers(1, 40), st.integers(1, 8))
+def test_closure_matches_the_point_storing_reference(gens, x, max_points, max_depth):
+    check_against_reference(gens, x, max_points, max_depth)
+    verdict = check_against_reference(gens, x, 200, 30)
+    if not isinstance(verdict, Stable):
+        return
+    # limits exactly at the orbit's size and depth close it; one below does not
+    _, _, depth = reference_closure(gens, x, 200, 30)
+    size = verdict.orbit_size
+    assert check_against_reference(gens, x, size, depth) == verdict
+    if size > 1:
+        assert check_against_reference(gens, x, size - 1, depth) == Unknown(size - 1, "max_points")
+    if depth > 1:
+        assert check_against_reference(gens, x, size, depth - 1) == Unknown(size, "max_depth")
+    if size > 1 and depth > 1:
+        check_against_reference(gens, x, size - 1, depth - 1)
+
+
+def small_b5():
+    """B_5 acting on coordinates 0-4 of a point holding 1-7 on coordinates 0-6,
+    generated by a swap, a 5-cycle and a sign flip.  The action is free, so the
+    orbit has 2^5 * 5! = 3840 points."""
+    x = SparsePoint({c: c + 1 for c in range(7)})
+    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
+    cycle = FiniteComponentMap({i: variable((i + 1) % 5) for i in range(5)})
+    flip = FiniteComponentMap({0: -variable(0)})
+    return [swap, cycle, flip], x
+
+
+def test_closure_stores_a_point_in_under_320_bytes():
+    # the flat keys take about 190 bytes a point here, SparsePoint objects in a set about 470
+    gens, x = small_b5()
+    tracemalloc.start()
+    try:
+        verdict = orbit_closure(gens, x, 100_000, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Stable(3840)
+    assert peak / 3840 < 320
+
+
+def test_closure_never_hashes_or_compares_points(monkeypatch):
+    calls = count_calls(monkeypatch, SparsePoint, "__hash__", "__eq__")
+    gens, x = small_b5()
+    assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
+    assert calls == []
 
 
 def test_orbit_always_contains_the_start_point():
