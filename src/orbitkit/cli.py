@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``          differential test: polynomial map vs. grid engine
 
 Each command imports only the modules it uses: a ``tm`` run loads
-``turing`` and ``cycles`` (and ``polymap``, which this module imports)
-but not ``dynamics``, ``life``, ``lifepoly`` or ``orbit``.
+``turing`` and ``cycles`` but not ``polymap``, ``dynamics``, ``life``,
+``lifepoly`` or ``orbit``.
 
 Reports are ``key=value`` lines on stdout, one logical result per line.
 Stdout is byte-deterministic for fixed inputs and seed; the wall-time
@@ -34,11 +34,9 @@ import sys
 import time
 from pathlib import Path
 
-# the other modules are imported inside the commands that use them and
-# called through the module (turing.parse_tm), so a wrapper set on a
-# module attribute sees every call
-from .polymap import parse_poly
-
+# the toolkit's modules are imported inside the commands that use them and
+# called through the module (turing.parse_tm) or through parse_poly below, so
+# a wrapper set on a module attribute sees every call
 __all__ = ["main", "parse_component_map"]
 
 
@@ -100,6 +98,14 @@ def _read_text(path: str) -> tuple[str, str]:
         name = path
     digest = hashlib.sha256(data).hexdigest()
     return data.decode("utf-8"), f"input={name} sha256={digest}"
+
+
+def parse_poly(text: str) -> Polynomial:
+    """:func:`orbitkit.polymap.parse_poly`, imported when first called, so a
+    command that reads no polynomial never loads ``polymap``."""
+    from .polymap import parse_poly
+
+    return parse_poly(text)
 
 
 def parse_component_map(text: str) -> FiniteComponentMap:

@@ -30,6 +30,7 @@ points and maps are safe to share between threads.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
@@ -225,6 +226,11 @@ class FiniteComponentMap:
     power, a product or a sum) is *general* and is evaluated as a
     polynomial.  Both kinds read only the input, so all components update
     simultaneously.
+
+    A map of moves only can also take a point's flat key straight to its
+    image's key (:meth:`_key_mover`, which
+    :func:`orbitkit.orbit.orbit_closure` uses), at the cost of one small
+    plan per distinct support among the keys it maps.
     """
 
     __slots__ = ("_components", "_moves", "_general")
@@ -276,6 +282,57 @@ class FiniteComponentMap:
             else:
                 entries.pop(coord, None)
         return SparsePoint._raw(entries)
+
+    def _key_mover(self) -> Union[Callable[[tuple], tuple], None]:
+        """For a map of moves only, a function from a point's key to its image's
+        key, equal to ``self.apply(SparsePoint._from_key(key))._key()``; None
+        when a component is general.
+
+        An image's layout (its sorted coordinates) depends only on the
+        source's, so the function builds one plan per source layout it meets
+        and keeps it for its own lifetime: the image coordinates, a gather of
+        source value slots, and the slots to scale by a coefficient other than
+        1.  A key with a known layout costs one slice, one dict lookup, the
+        gather and a concatenation."""
+        if self._general:
+            return None
+        moves = {coord: (var, coeff) for coord, var, coeff in self._moves}
+        plans: dict = {}
+
+        def plan(coords):
+            n = len(coords)
+            slots = {coord: n + i for i, coord in enumerate(coords)}
+            # coordinate -> (key slot it reads, coefficient); a move whose
+            # variable is absent deletes its coordinate
+            sources = {coord: (slots[coord], 1) for coord in coords if coord not in moves}
+            for coord, (var, coeff) in moves.items():
+                if var in slots:
+                    sources[coord] = (slots[var], coeff)
+            out = tuple(sorted(sources))
+            reads = [sources[coord][0] for coord in out]
+            if len(reads) > 1:
+                gather = itemgetter(*reads)
+            else:  # itemgetter() raises, and itemgetter(i) gives a bare value
+                gather = lambda key: tuple(key[i] for i in reads)
+            scaled = tuple((i, sources[coord][1]) for i, coord in enumerate(out)
+                           if sources[coord][1] != 1)
+            return out, gather, scaled
+
+        def mover(key):
+            coords = key[:len(key) >> 1]
+            p = plans.get(coords)
+            if p is None:
+                p = plans[coords] = plan(coords)
+            out, gather, scaled = p
+            values = gather(key)
+            if scaled:
+                values = list(values)
+                for i, coeff in scaled:
+                    values[i] *= coeff
+                values = tuple(values)
+            return out + values
+
+        return mover
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {p}" for i, p in sorted(self._components.items()))

@@ -12,11 +12,19 @@ finite.  Stability is confirmed two ways:
 The closure keeps each visited point, and each point waiting in the
 frontier, as one flat tuple, :meth:`SparsePoint._key`: the sorted
 coordinates, then their values in the same order.  Membership is then a
-tuple hash and compare, and a key becomes a point again only when its
-images are computed.  A point of n coordinates costs a tuple of 40 + 16n
-bytes, its set slot, and whatever values it shares with no other point:
-about 190 to 250 bytes for 7 or 8 coordinates, measured with
+tuple hash and compare.  A point of n coordinates costs a tuple of
+40 + 16n bytes, its set slot, and whatever values it shares with no other
+point: about 190 to 250 bytes for 7 or 8 coordinates, measured with
 ``tracemalloc``.
+
+A :class:`FiniteComponentMap` of moves only (every component a single
+``c*x_j``, as in swaps, cycles and sign flips) takes a frontier key
+straight to its image's key through a plan kept for the closure's
+lifetime, one per distinct support among the keys it maps: a tuple of
+image coordinates, a gather of value slots and the coefficients other
+than 1.  Every other generator, a :class:`GridRuleMap` or a map with a
+general component, is applied to the frontier point, which is rebuilt
+from its key once per key, and only when such a generator is present.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -27,7 +35,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from . import cycles
-from .dynamics import PolyMapDesc, SparsePoint
+from .dynamics import FiniteComponentMap, PolyMapDesc, SparsePoint
 
 __all__ = [
     "Stable",
@@ -91,6 +99,10 @@ def _explore(generators, x, max_points, max_depth):
     for limit in (max_points, max_depth):
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ValueError("exploration limits must be positive integers")
+    # move-only maps go from key to key; the others need the point itself
+    movers = [g._key_mover() if isinstance(g, FiniteComponentMap) else None for g in gens]
+    steps = list(zip(gens, movers))
+    pointwise = None in movers
     start = x._key()
     visited = {start}
     frontier = [start]
@@ -102,9 +114,9 @@ def _explore(generators, x, max_points, max_depth):
         depth += 1
         next_frontier = []
         for key in frontier:
-            point = from_key(key)
-            for g in gens:
-                y = g.apply(point)._key()
+            point = from_key(key) if pointwise else None
+            for g, move in steps:
+                y = move(key) if move is not None else g.apply(point)._key()
                 # one hash per image: add, and see whether the set grew
                 size = len(visited)
                 visited.add(y)
@@ -126,7 +138,10 @@ def orbit_closure(
     reported orbit size counts x itself (the monoid's identity element).
     Each visited point is kept as one flat tuple, about 190 to 250 bytes
     for 7 or 8 coordinates (see the module docstring), so ``max_points``
-    bounds the closure's memory as well as its work.
+    bounds the closure's memory as well as its work.  Move-only component
+    maps map keys to keys without building a point; each keeps at most one
+    plan per distinct support among the visited points, so the bound holds
+    for the plans too.
     """
     verdict, _ = _explore(generators, x, max_points, max_depth)
     return verdict

@@ -387,14 +387,13 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     for args, modules in (
         (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"]),
         (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
-         ["cycles", "dynamics", "orbit"]),
+         ["cycles", "dynamics", "orbit", "polymap"]),
     ):
         run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         loaded = run.stdout.splitlines()[-1].split()
-        # cli imports parse_poly itself, so polymap always comes with it
-        assert loaded[:-1] == sorted(f"orbitkit.{m}" for m in ["cli", "polymap", *modules])
+        assert loaded[:-1] == sorted(f"orbitkit.{m}" for m in ["cli", *modules])
         assert loaded[-1] == "False"
 
 

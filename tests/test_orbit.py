@@ -155,6 +155,64 @@ def test_closure_matches_the_point_storing_reference(gens, x, max_points, max_de
         check_against_reference(gens, x, size - 1, depth - 1)
 
 
+# moves only: scaled reads of any coordinate (6 and 7 are absent from the points,
+# so such a read deletes its coordinate), sign flips c: -1*x_c, and a swap
+move_components = st.builds(lambda c, j: c * variable(j),
+                            st.sampled_from((1, -1, 2, 3)), st.sampled_from(COORDS))
+
+
+@st.composite
+def move_maps(draw):
+    table = draw(st.dictionaries(st.sampled_from(COORDS), move_components, max_size=3))
+    for coord in draw(st.lists(st.sampled_from(COORDS), max_size=2)):
+        table[coord] = -variable(coord)
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(COORDS), min_size=2, max_size=2, unique=True))
+        table[a], table[b] = variable(b), variable(a)
+    return FiniteComponentMap(table)
+
+
+# move-only maps mixed with a map that may have a general component and a grid map
+mixed_generator_lists = st.tuples(st.lists(move_maps(), min_size=1, max_size=3),
+                                  st.lists(component_maps, max_size=1),
+                                  st.lists(grid_maps, max_size=1)).flatmap(
+    lambda parts: st.permutations(parts[0] + parts[1] + parts[2]))
+# the empty point and one-coordinate points, drawn as often as larger ones
+edge_points = st.one_of(
+    st.just(SparsePoint()),
+    st.builds(lambda c, v: SparsePoint({c: v}), st.integers(0, 5), st.integers(-3, 3).filter(bool)),
+    small_points)
+
+
+@given(mixed_generator_lists, edge_points, st.integers(1, 40), st.integers(1, 8))
+def test_move_only_closures_match_the_point_storing_reference(gens, x, max_points, max_depth):
+    check_against_reference(gens, x, max_points, max_depth)
+    check_against_reference(gens, x, 200, 30)
+
+
+@given(move_maps(), st.lists(edge_points, min_size=1, max_size=6))
+def test_key_mover_matches_apply(g, points):
+    # several points, so later ones reuse plans built for earlier layouts
+    move = g._key_mover()
+    for p in points * 2:
+        assert move(p._key()) == g.apply(p)._key()
+
+
+def test_key_mover_on_empty_and_one_coordinate_keys():
+    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})._key_mover()
+    assert swap(()) == ()
+    assert swap((0, 5)) == (1, 5)
+    assert swap((1, 5)) == (0, 5)
+    assert swap((0, 1, 5, 7)) == (0, 1, 7, 5)
+    assert FiniteComponentMap({0: variable(6)})._key_mover()((0, 5)) == ()
+    assert FiniteComponentMap({0: -3 * variable(2)})._key_mover()((2, 4)) == (0, 2, -12, 4)
+
+
+def test_a_general_component_has_no_key_mover():
+    assert FiniteComponentMap({0: variable(0) + 1, 1: variable(0)})._key_mover() is None
+    assert FiniteComponentMap({0: constant(0)})._key_mover() is None
+
+
 def small_b5():
     """B_5 acting on coordinates 0-4 of a point holding 1-7 on coordinates 0-6,
     generated by a swap, a 5-cycle and a sign flip.  The action is free, so the
@@ -184,6 +242,24 @@ def test_closure_never_hashes_or_compares_points(monkeypatch):
     gens, x = small_b5()
     assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
     assert calls == []
+
+
+def test_move_only_closure_never_applies_a_map(monkeypatch):
+    calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    gens, x = small_b5()
+    assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
+    assert calls == []
+
+
+def test_a_general_component_is_applied_once_per_frontier_point(monkeypatch):
+    # x0 grows by x1^2 = 4 and x1 flips sign: two new points per level, so a
+    # depth limit of 4 expands the start and the points of levels 1 to 3
+    calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    flip = FiniteComponentMap({1: -variable(1)})
+    grow = FiniteComponentMap({0: variable(0) + variable(1) ** 2})
+    verdict = orbit_closure([flip, grow], SparsePoint({0: 1, 1: 2}), 100, 4)
+    assert verdict == Unknown(points_explored=9, budget_hit="max_depth")
+    assert calls == ["apply"] * 7
 
 
 def test_orbit_always_contains_the_start_point():
