@@ -8,3 +8,16 @@ for points and maps); :mod:`orbitkit.turing` simulates deterministic
 Turing machines; :mod:`orbitkit.cycles` and :mod:`orbitkit.orbit` turn
 "does this trajectory ever repeat?" into budgeted, honest semi-decisions.
 """
+
+_SUBMODULES = frozenset({"cli", "cycles", "dynamics", "life", "lifepoly", "orbit", "polymap",
+                         "turing"})
+
+
+def __getattr__(name):
+    # ``orbitkit.dynamics`` and the like import the module on first use, so
+    # ``import orbitkit`` loads nothing else and annotations can still name it
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

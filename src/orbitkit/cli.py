@@ -34,6 +34,8 @@ import sys
 import time
 from pathlib import Path
 
+import orbitkit  # the package, already loaded: annotations name classes through it
+
 # the toolkit's modules are imported inside the commands that use them and
 # called through the module (turing.parse_tm) or through parse_poly below, so
 # a wrapper set on a module attribute sees every call
@@ -100,7 +102,7 @@ def _read_text(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), f"input={name} sha256={digest}"
 
 
-def parse_poly(text: str) -> Polynomial:
+def parse_poly(text: str) -> orbitkit.polymap.Polynomial:
     """:func:`orbitkit.polymap.parse_poly`, imported when first called, so a
     command that reads no polynomial never loads ``polymap``."""
     from .polymap import parse_poly
@@ -108,7 +110,7 @@ def parse_poly(text: str) -> Polynomial:
     return parse_poly(text)
 
 
-def parse_component_map(text: str) -> FiniteComponentMap:
+def parse_component_map(text: str) -> orbitkit.dynamics.FiniteComponentMap:
     """Parse a component-map file: ``coordinate: polynomial`` lines.
 
     Polynomials use the standard text format; ``#`` starts a comment.

@@ -4,10 +4,10 @@ Points live on natural-number coordinates and are zero almost everywhere.
 Two map families describe every self-map the toolkit needs:
 
 * :class:`FiniteComponentMap` rewrites finitely many coordinates with
-  polynomials and leaves every other coordinate untouched.  A component
-  ``c*x_j`` is a move: it reads one coordinate and scales it by ``c``
-  without evaluating a polynomial, and for ``c == 1`` it stores the very
-  int object it read.
+  polynomials and leaves every other coordinate untouched; application
+  evaluates every component.  A map whose components are all moves
+  ``c*x_j`` also maps flat point keys to image keys without building a
+  point, for the walks in :mod:`orbitkit.orbit`.
 * :class:`GridRuleMap` lifts a local rule on a 3x3 planar neighborhood to
   the whole coordinate axis through a pairing, an injection of quadrant
   cells into coordinate indexes.  Every coordinate is computed by the
@@ -76,7 +76,7 @@ class SparsePoint:
     to the point, so the caller never mutates it afterwards.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
         data: dict[int, int] = {}
@@ -92,13 +92,11 @@ class SparsePoint:
                 else:
                     data.pop(coord, None)
         self._entries = data
-        self._hash = None
 
     @classmethod
     def _raw(cls, data: dict) -> "SparsePoint":
         p = cls.__new__(cls)
         p._entries = data
-        p._hash = None
         return p
 
     def _key(self) -> tuple:
@@ -140,10 +138,7 @@ class SparsePoint:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(frozenset(self._entries.items()))
-        return h
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self) -> str:
         return f"SparsePoint({emit_point(self)!r})"
@@ -218,27 +213,21 @@ class FiniteComponentMap:
     """Polynomial map with finitely many non-identity components.
 
     Coordinates absent from the component table behave as projections
-    x_i -> x_i.  Construction sorts the components into two kinds.  A
-    *move* is a single term ``c*x_j`` of degree 1, such as a swap or a sign
-    flip; application reads ``x_j`` with one dict lookup, and with ``c == 1``
-    stores the input's own int object, so images share their values with
-    the point they came from.  Every other component (a constant, 0, a
-    power, a product or a sum) is *general* and is evaluated as a
-    polynomial.  Both kinds read only the input, so all components update
-    simultaneously.
+    x_i -> x_i.  :meth:`apply` evaluates every component as a polynomial
+    on the input, so all components update simultaneously.
 
-    A map of moves only can also take a point's flat key straight to its
-    image's key (:meth:`_key_mover`, which
-    :func:`orbitkit.orbit.orbit_closure` uses), at the cost of one small
-    plan per distinct support among the keys it maps.
+    A map of *moves* only, every component a single term ``c*x_j`` of
+    degree 1 such as a swap or a sign flip, can also take a point's flat
+    key straight to its image's key (:meth:`_key_mover`, which the walks
+    in :mod:`orbitkit.orbit` use), at the cost of one small plan per
+    distinct support among the keys it maps.  The two share no code, so
+    each checks the other.
     """
 
-    __slots__ = ("_components", "_moves", "_general")
+    __slots__ = ("_components",)
 
     def __init__(self, components: Mapping[int, Union[Polynomial, int]]):
         table: dict[int, Polynomial] = {}
-        moves = []
-        general = []
         for coord, poly in components.items():
             if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
                 raise ValueError(f"component coordinate must be a natural number, got {coord!r}")
@@ -247,35 +236,19 @@ class FiniteComponentMap:
             if not isinstance(poly, Polynomial):
                 raise ValueError(f"component for coordinate {coord} must be a Polynomial")
             table[coord] = poly
-            terms = poly.terms
-            if len(terms) == 1:
-                [(mono, coeff)] = terms.items()
-                if len(mono) == 1 and mono[0][1] == 1:
-                    moves.append((coord, mono[0][0], coeff))
-                    continue
-            general.append((coord, poly))
         self._components = table
-        self._moves = tuple(moves)
-        self._general = tuple(general)
 
     @property
     def components(self) -> Mapping[int, Polynomial]:
         return MappingProxyType(self._components)
 
     def apply(self, x: SparsePoint) -> SparsePoint:
-        """Compute every component from ``x``'s own entries dict and build the
-        image without re-checking it: a move is one lookup (a variable that
-        reads 0 deletes the coordinate), a general component one ``evaluate``."""
+        """Evaluate every component on ``x``'s own entries dict and build the
+        image without re-checking it; a component that reads 0 deletes its
+        coordinate."""
         source = x._entries
         entries = source.copy()
-        get = source.get
-        for coord, var, coeff in self._moves:
-            v = get(var)
-            if v is None:
-                entries.pop(coord, None)
-            else:
-                entries[coord] = v if coeff == 1 else coeff * v
-        for coord, poly in self._general:
+        for coord, poly in self._components.items():
             v = poly.evaluate(source)
             if v:
                 entries[coord] = v
@@ -286,7 +259,7 @@ class FiniteComponentMap:
     def _key_mover(self) -> Union[Callable[[tuple], tuple], None]:
         """For a map of moves only, a function from a point's key to its image's
         key, equal to ``self.apply(SparsePoint._from_key(key))._key()``; None
-        when a component is general.
+        when a component is not a single ``c*x_j``.
 
         An image's layout (its sorted coordinates) depends only on the
         source's, so the function builds one plan per source layout it meets
@@ -294,9 +267,15 @@ class FiniteComponentMap:
         source value slots, and the slots to scale by a coefficient other than
         1.  A key with a known layout costs one slice, one dict lookup, the
         gather and a concatenation."""
-        if self._general:
-            return None
-        moves = {coord: (var, coeff) for coord, var, coeff in self._moves}
+        moves = {}
+        for coord, poly in self._components.items():
+            terms = poly.terms
+            if len(terms) != 1:
+                return None
+            [(mono, coeff)] = terms.items()
+            if len(mono) != 1 or mono[0][1] != 1:
+                return None
+            moves[coord] = (mono[0][0], coeff)
         plans: dict = {}
 
         def plan(coords):

@@ -9,22 +9,20 @@ finite.  Stability is confirmed two ways:
 * general finite generator sets: breadth-first closure with exact
   point equality, bounded by a point budget and a depth budget.
 
-The closure keeps each visited point, and each point waiting in the
-frontier, as one flat tuple, :meth:`SparsePoint._key`: the sorted
-coordinates, then their values in the same order.  Membership is then a
-tuple hash and compare.  A point of n coordinates costs a tuple of
+Both walks keep each point they store, and each point waiting in the
+closure's frontier, as one flat tuple, :meth:`SparsePoint._key`: the
+sorted coordinates, then their values in the same order.  Membership is
+then a tuple hash and compare.  A point of n coordinates costs a tuple of
 40 + 16n bytes, its set slot, and whatever values it shares with no other
 point: about 190 to 250 bytes for 7 or 8 coordinates, measured with
 ``tracemalloc``.
 
-A :class:`FiniteComponentMap` of moves only (every component a single
-``c*x_j``, as in swaps, cycles and sign flips) takes a frontier key
-straight to its image's key through a plan kept for the closure's
-lifetime, one per distinct support among the keys it maps: a tuple of
-image coordinates, a gather of value slots and the coefficients other
-than 1.  Every other generator, a :class:`GridRuleMap` or a map with a
-general component, is applied to the frontier point, which is rebuilt
-from its key once per key, and only when such a generator is present.
+Both walks step keys through one function per generator: for a
+:class:`FiniteComponentMap` of moves only (every component a single
+``c*x_j``, as in swaps, cycles and sign flips) its key mover, which keeps
+one plan per distinct support among the keys it maps; for every other
+generator, a :class:`GridRuleMap` or a map with a general component, its
+``apply`` on the point rebuilt from the key.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -83,13 +81,22 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
-    verdict = cycles.detect_hashset(f.apply, x, budget)
+    verdict = cycles.detect_hashset(_key_step(f), x._key(), budget)
     if isinstance(verdict, cycles.Periodic):
         return Stable(
             orbit_size=verdict.preperiod + verdict.period,
             witness=(verdict.preperiod, verdict.period),
         )
     return Unknown(points_explored=budget + 1, budget_hit="budget")
+
+
+def _key_step(g: PolyMapDesc):
+    """A function from a point's key to its image's key under ``g``."""
+    move = g._key_mover() if isinstance(g, FiniteComponentMap) else None
+    if move is not None:
+        return move
+    apply, from_key = g.apply, SparsePoint._from_key
+    return lambda key: apply(from_key(key))._key()
 
 
 def _explore(generators, x, max_points, max_depth):
@@ -99,14 +106,10 @@ def _explore(generators, x, max_points, max_depth):
     for limit in (max_points, max_depth):
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ValueError("exploration limits must be positive integers")
-    # move-only maps go from key to key; the others need the point itself
-    movers = [g._key_mover() if isinstance(g, FiniteComponentMap) else None for g in gens]
-    steps = list(zip(gens, movers))
-    pointwise = None in movers
+    steps = [_key_step(g) for g in gens]
     start = x._key()
     visited = {start}
     frontier = [start]
-    from_key = SparsePoint._from_key
     depth = 0
     while frontier:
         if depth == max_depth:
@@ -114,9 +117,8 @@ def _explore(generators, x, max_points, max_depth):
         depth += 1
         next_frontier = []
         for key in frontier:
-            point = from_key(key) if pointwise else None
-            for g, move in steps:
-                y = move(key) if move is not None else g.apply(point)._key()
+            for step in steps:
+                y = step(key)
                 # one hash per image: add, and see whether the set grew
                 size = len(visited)
                 visited.add(y)

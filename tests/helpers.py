@@ -1,6 +1,6 @@
 """Shared test data and independent reference implementations."""
 
-from orbitkit.cycles import Exhausted, Periodic, Terminated
+from orbitkit.cycles import Exhausted, Periodic, Terminated, detect_hashset
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
 from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
 from orbitkit.orbit import Stable, Unknown
@@ -231,3 +231,13 @@ def reference_closure(generators, x, max_points, max_depth):
                     next_frontier.append(y)
         frontier = next_frontier
     return Stable(len(visited)), visited, depth
+
+
+def reference_singleton(f, x, budget):
+    """``orbit.is_stable_singleton`` as cycle detection on the points themselves,
+    ``f.apply`` as the step; independent of the flat keys behind it."""
+    verdict = detect_hashset(f.apply, x, budget)
+    if isinstance(verdict, Periodic):
+        return Stable(verdict.preperiod + verdict.period, (verdict.preperiod, verdict.period))
+    assert isinstance(verdict, Exhausted)
+    return Unknown(budget + 1, "budget")

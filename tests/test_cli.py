@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ import pytest
 import orbitkit
 from orbitkit import life, lifepoly
 from orbitkit.cli import CliInputError, main, parse_component_map
-from orbitkit.dynamics import SparsePoint
-from orbitkit.polymap import variable
+from orbitkit.dynamics import FiniteComponentMap, SparsePoint
+from orbitkit.polymap import Polynomial, variable
 
 from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE, count_calls
 from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER, WRITER
@@ -374,6 +375,21 @@ def test_package_import_loads_only_the_modules_asked_for():
     assert loaded["import orbitkit"] == []
     assert loaded["from orbitkit import lifepoly"] == [
         "orbitkit.dynamics", "orbitkit.life", "orbitkit.lifepoly", "orbitkit.polymap"]
+
+
+def test_cli_annotations_resolve_and_load_their_modules_on_demand():
+    # in a fresh process, where neither dynamics nor polymap is loaded yet
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    code = ("import typing; from orbitkit import cli\n"
+            "for f in vars(cli).values():\n"
+            "    if getattr(f, '__module__', None) == 'orbitkit.cli': typing.get_type_hints(f)\n"
+            "print(typing.get_type_hints(cli.parse_poly)['return'].__qualname__, "
+            "typing.get_type_hints(cli.parse_component_map)['return'].__qualname__)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["Polynomial", "FiniteComponentMap"]
+    assert typing.get_type_hints(orbitkit.cli.parse_poly) == {"text": str, "return": Polynomial}
+    assert typing.get_type_hints(parse_component_map) == {"text": str, "return": FiniteComponentMap}
 
 
 def test_each_command_loads_only_its_own_modules(tmp_path):

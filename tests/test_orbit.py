@@ -18,7 +18,7 @@ from orbitkit.orbit import (
 )
 from orbitkit.polymap import Polynomial, constant, variable
 
-from helpers import BLINKER, BLOCK, GLIDER, TOAD, count_calls, reference_closure
+from helpers import BLINKER, BLOCK, GLIDER, TOAD, count_calls, reference_closure, reference_singleton
 
 
 def random_component_map(rng):
@@ -249,6 +249,27 @@ def test_move_only_closure_never_applies_a_map(monkeypatch):
     gens, x = small_b5()
     assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
     assert calls == []
+
+
+def test_move_only_singleton_walk_never_applies_hashes_or_compares_points(monkeypatch):
+    [_, cycle, _], x = small_b5()
+    expected = reference_singleton(cycle, x, 100)
+    assert expected == Stable(5, (0, 5))
+    applies = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    point_calls = count_calls(monkeypatch, SparsePoint, "__hash__", "__eq__")
+    assert is_stable_singleton(cycle, x, 100) == expected
+    assert applies == point_calls == []
+
+
+singleton_maps = st.one_of(move_maps(), component_maps, grid_maps)
+# points on most of coordinates 0-5, so the maps' components mostly read nonzero values
+full_points = st.dictionaries(
+    st.integers(0, 5), st.integers(-3, 3).filter(bool), min_size=4).map(SparsePoint)
+
+
+@given(singleton_maps, st.one_of(full_points, edge_points), st.integers(1, 40))
+def test_singleton_walk_matches_the_point_storing_reference(f, x, budget):
+    assert is_stable_singleton(f, x, budget) == reference_singleton(f, x, budget)
 
 
 def test_a_general_component_is_applied_once_per_frontier_point(monkeypatch):
