@@ -6,7 +6,7 @@ Two map families describe every self-map the toolkit needs:
 * :class:`FiniteComponentMap` rewrites finitely many coordinates with
   polynomials and leaves every other coordinate untouched; application
   evaluates every component.  A map whose components are all moves
-  ``c*x_j`` also maps flat point keys to image keys without building a
+  ``c*x_j`` also maps point keys to image keys without building a
   point, for the walks in :mod:`orbitkit.orbit`.
 * :class:`GridRuleMap` lifts a local rule on a 3x3 planar neighborhood to
   the whole coordinate axis through a pairing, an injection of quadrant
@@ -99,20 +99,22 @@ class SparsePoint:
         p._entries = data
         return p
 
-    def _key(self) -> tuple:
-        """The point as one flat tuple: its sorted coordinates, then their values
-        in the same order.  Equal points give equal keys, and the length gives
-        the support size, so the key is injective."""
+    def _key(self, layout: tuple = ()) -> tuple:
+        """The point as one tuple: its layout (the tuple of its sorted
+        coordinates), then their values in the same order.  Equal points give
+        equal keys, so the key is injective.  When the layout equals ``layout``
+        the key holds that very object, so keys of one layout can share it."""
         entries = self._entries
-        coords = sorted(entries)
-        return (*coords, *map(entries.__getitem__, coords))
+        coords = tuple(sorted(entries))
+        if coords == layout:
+            coords = layout
+        return (coords, *map(entries.__getitem__, coords))
 
     @classmethod
     def _from_key(cls, key: tuple) -> "SparsePoint":
         """Inverse of :meth:`_key`, checking nothing, like :meth:`_raw`: a key
         made from a point already has natural coordinates and nonzero values."""
-        n = len(key) >> 1
-        return cls._raw(dict(zip(key[:n], key[n:])))
+        return cls._raw(dict(zip(key[0], key[1:])))
 
     def get(self, coord: int, default: int = 0) -> int:
         return self._entries.get(coord, default)
@@ -217,10 +219,10 @@ class FiniteComponentMap:
     on the input, so all components update simultaneously.
 
     A map of *moves* only, every component a single term ``c*x_j`` of
-    degree 1 such as a swap or a sign flip, can also take a point's flat
+    degree 1 such as a swap or a sign flip, can also take a point's
     key straight to its image's key (:meth:`_key_mover`, which the walks
     in :mod:`orbitkit.orbit` use), at the cost of one small plan per
-    distinct support among the keys it maps.  The two share no code, so
+    distinct layout among the keys it maps.  The two share no code, so
     each checks the other.
     """
 
@@ -256,17 +258,21 @@ class FiniteComponentMap:
                 entries.pop(coord, None)
         return SparsePoint._raw(entries)
 
-    def _key_mover(self) -> Union[Callable[[tuple], tuple], None]:
+    def _key_mover(self, start: tuple) -> Union[Callable[[tuple], tuple], None]:
         """For a map of moves only, a function from a point's key to its image's
         key, equal to ``self.apply(SparsePoint._from_key(key))._key()``; None
         when a component is not a single ``c*x_j``.
 
-        An image's layout (its sorted coordinates) depends only on the
-        source's, so the function builds one plan per source layout it meets
-        and keeps it for its own lifetime: the image coordinates, a gather of
-        source value slots, and the slots to scale by a coefficient other than
-        1.  A key with a known layout costs one slice, one dict lookup, the
-        gather and a concatenation."""
+        An image's layout depends only on the source's, so the function builds
+        one plan per source layout it meets and keeps it for its own lifetime:
+        the image layout (the source's own object when it is unchanged), a
+        gather of source value slots, the slots to negate, and the slots to
+        scale by a coefficient other than 1 and -1.  A negation reads a table
+        built once from the values of ``start``, the walk's start key: each
+        value and its negative, at most twice as many entries as ``start``
+        has values, so sign flips of those values hand out objects already
+        held instead of new ints.  A key with a known layout costs one dict
+        lookup, the gather and a concatenation."""
         moves = {}
         for coord, poly in self._components.items():
             terms = poly.terms
@@ -276,40 +282,51 @@ class FiniteComponentMap:
             if len(mono) != 1 or mono[0][1] != 1:
                 return None
             moves[coord] = (mono[0][0], coeff)
+        # one object per distinct start value, then value -> its negative
+        own = {v: v for v in start[1:]}
+        negate = {}
+        for v in own:
+            w = own.get(-v, -v)
+            negate[v], negate[w] = w, v
         plans: dict = {}
 
-        def plan(coords):
-            n = len(coords)
-            slots = {coord: n + i for i, coord in enumerate(coords)}
+        def plan(layout):
+            slots = {coord: i for i, coord in enumerate(layout, 1)}
             # coordinate -> (key slot it reads, coefficient); a move whose
             # variable is absent deletes its coordinate
-            sources = {coord: (slots[coord], 1) for coord in coords if coord not in moves}
+            sources = {coord: (slots[coord], 1) for coord in layout if coord not in moves}
             for coord, (var, coeff) in moves.items():
                 if var in slots:
                     sources[coord] = (slots[var], coeff)
             out = tuple(sorted(sources))
+            if out == layout:
+                out = layout
             reads = [sources[coord][0] for coord in out]
             if len(reads) > 1:
                 gather = itemgetter(*reads)
             else:  # itemgetter() raises, and itemgetter(i) gives a bare value
                 gather = lambda key: tuple(key[i] for i in reads)
-            scaled = tuple((i, sources[coord][1]) for i, coord in enumerate(out)
-                           if sources[coord][1] != 1)
-            return out, gather, scaled
+            coeffs = [sources[coord][1] for coord in out]
+            flips = tuple(i for i, coeff in enumerate(coeffs) if coeff == -1)
+            scaled = tuple((i, coeff) for i, coeff in enumerate(coeffs) if coeff not in (1, -1))
+            return (out,), gather, flips, scaled
 
         def mover(key):
-            coords = key[:len(key) >> 1]
-            p = plans.get(coords)
+            layout = key[0]
+            p = plans.get(layout)
             if p is None:
-                p = plans[coords] = plan(coords)
-            out, gather, scaled = p
+                p = plans[layout] = plan(layout)
+            head, gather, flips, scaled = p
             values = gather(key)
-            if scaled:
+            if flips or scaled:
                 values = list(values)
+                for i in flips:
+                    v = values[i]
+                    values[i] = negate.get(v) or -v  # no value is 0
                 for i, coeff in scaled:
                     values[i] *= coeff
                 values = tuple(values)
-            return out + values
+            return head + values
 
         return mover
 

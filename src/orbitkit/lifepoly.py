@@ -25,8 +25,9 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
+import orbitkit  # the package, already loaded: annotations name life.LifeConfig through it
+
 from .dynamics import GridRuleMap, PairingSpec, SparsePoint, subset_transform
-from .life import LifeConfig
 from .polymap import Polynomial
 
 __all__ = [
@@ -141,7 +142,7 @@ def cantor_pairing() -> PairingSpec:
     return PairingSpec(name="cantor", forward=pair, inverse=unpair)
 
 
-def encode(config: LifeConfig) -> SparsePoint:
+def encode(config: orbitkit.life.LifeConfig) -> SparsePoint:
     """Flatten a quadrant-contained configuration to a 0/1 point."""
     entries = {}
     for x, y in config:
@@ -151,7 +152,7 @@ def encode(config: LifeConfig) -> SparsePoint:
     return SparsePoint._raw(entries)
 
 
-def decode(point: SparsePoint) -> LifeConfig:
+def decode(point: SparsePoint) -> orbitkit.life.LifeConfig:
     """Inverse of :func:`encode`; rejects points with values outside {0, 1}."""
     cells = set()
     for idx, value in point.items():
@@ -171,7 +172,7 @@ def build_gol_map() -> GridRuleMap:
     return GridRuleMap(build_local_rule(), cantor_pairing())
 
 
-def quadrant_safe(config: LifeConfig) -> bool:
+def quadrant_safe(config: orbitkit.life.LifeConfig) -> bool:
     """True when one grid step and one map application provably agree: all
     live cells sit at coordinates >= 1, so no 3x3 block the step reads or
     writes crosses the quadrant boundary, and no cell can be born at a

@@ -10,19 +10,22 @@ finite.  Stability is confirmed two ways:
   point equality, bounded by a point budget and a depth budget.
 
 Both walks keep each point they store, and each point waiting in the
-closure's frontier, as one flat tuple, :meth:`SparsePoint._key`: the
-sorted coordinates, then their values in the same order.  Membership is
-then a tuple hash and compare.  A point of n coordinates costs a tuple of
-40 + 16n bytes, its set slot, and whatever values it shares with no other
-point: about 190 to 250 bytes for 7 or 8 coordinates, measured with
-``tracemalloc``.
+closure's frontier, as one key, :meth:`SparsePoint._key`: a tuple of the
+layout (the sorted coordinates, as one tuple), then the values in the
+same order.  Membership is then a tuple hash and compare.  Keys of one
+layout share one layout object, so a point of n coordinates costs a
+tuple of 48 + 8n bytes, its set slot, and whatever values it shares with
+no other point: about 140 to 160 bytes for 7 or 8 coordinates under
+swaps, cycles and sign flips, measured with ``tracemalloc``.
 
 Both walks step keys through one function per generator: for a
 :class:`FiniteComponentMap` of moves only (every component a single
 ``c*x_j``, as in swaps, cycles and sign flips) its key mover, which keeps
-one plan per distinct support among the keys it maps; for every other
-generator, a :class:`GridRuleMap` or a map with a general component, its
-``apply`` on the point rebuilt from the key.
+one plan per distinct layout among the keys it maps and negates values
+through a table of the start point's values and their negatives; for
+every other generator, a :class:`GridRuleMap` or a map with a general
+component, its ``apply`` on the point rebuilt from the key, keyed with
+the source's layout object when the layout is unchanged.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -81,7 +84,8 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
-    verdict = cycles.detect_hashset(_key_step(f), x._key(), budget)
+    start = x._key()
+    verdict = cycles.detect_hashset(_key_step(f, start), start, budget)
     if isinstance(verdict, cycles.Periodic):
         return Stable(
             orbit_size=verdict.preperiod + verdict.period,
@@ -90,13 +94,14 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     return Unknown(points_explored=budget + 1, budget_hit="budget")
 
 
-def _key_step(g: PolyMapDesc):
-    """A function from a point's key to its image's key under ``g``."""
-    move = g._key_mover() if isinstance(g, FiniteComponentMap) else None
+def _key_step(g: PolyMapDesc, start: tuple):
+    """A function from a point's key to its image's key under ``g``, for a
+    walk from the point whose key is ``start``."""
+    move = g._key_mover(start) if isinstance(g, FiniteComponentMap) else None
     if move is not None:
         return move
     apply, from_key = g.apply, SparsePoint._from_key
-    return lambda key: apply(from_key(key))._key()
+    return lambda key: apply(from_key(key))._key(key[0])
 
 
 def _explore(generators, x, max_points, max_depth):
@@ -106,8 +111,8 @@ def _explore(generators, x, max_points, max_depth):
     for limit in (max_points, max_depth):
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ValueError("exploration limits must be positive integers")
-    steps = [_key_step(g) for g in gens]
     start = x._key()
+    steps = [_key_step(g, start) for g in gens]
     visited = {start}
     frontier = [start]
     depth = 0
@@ -138,12 +143,13 @@ def orbit_closure(
 
     Stable exactly when the frontier empties within the limits; the
     reported orbit size counts x itself (the monoid's identity element).
-    Each visited point is kept as one flat tuple, about 190 to 250 bytes
-    for 7 or 8 coordinates (see the module docstring), so ``max_points``
-    bounds the closure's memory as well as its work.  Move-only component
-    maps map keys to keys without building a point; each keeps at most one
-    plan per distinct support among the visited points, so the bound holds
-    for the plans too.
+    Each visited point is kept as one key, about 140 to 160 bytes for 7 or
+    8 coordinates (see the module docstring), so ``max_points`` bounds the
+    closure's memory as well as its work.  Move-only component maps map
+    keys to keys without building a point; each keeps at most one plan per
+    distinct layout among the visited points and a negation table of at
+    most twice as many entries as the start has values, so the bound holds
+    for those too.
     """
     verdict, _ = _explore(generators, x, max_points, max_depth)
     return verdict
@@ -154,10 +160,10 @@ def enumerate_orbit(
 ) -> Optional[frozenset]:
     """The full orbit as a set, or None when a limit fires first.
 
-    The closure runs on flat tuples as in :func:`orbit_closure`; each
-    point of a finite orbit is rebuilt from its tuple at the end, so the
-    returned set of :class:`SparsePoint` objects costs about twice what
-    the closure itself held.
+    The closure runs on keys as in :func:`orbit_closure`; each point of a
+    finite orbit is rebuilt from its key at the end, so the returned set
+    of :class:`SparsePoint` objects costs about three times what the
+    closure itself held.
     """
     verdict, visited = _explore(generators, x, max_points, max_depth)
     if isinstance(verdict, Stable):

@@ -210,7 +210,7 @@ def reference_pattern_sum(values):
 
 def reference_closure(generators, x, max_points, max_depth):
     """Breadth-first closure that stores the points themselves, with the limit
-    accounting of ``orbit.orbit_closure``; independent of the flat keys behind
+    accounting of ``orbit.orbit_closure``; independent of the keys behind
     it.  Returns the verdict, the set of points visited, and the number of
     levels expanded."""
     visited = {x}
@@ -235,7 +235,7 @@ def reference_closure(generators, x, max_points, max_depth):
 
 def reference_singleton(f, x, budget):
     """``orbit.is_stable_singleton`` as cycle detection on the points themselves,
-    ``f.apply`` as the step; independent of the flat keys behind it."""
+    ``f.apply`` as the step; independent of the keys behind it."""
     verdict = detect_hashset(f.apply, x, budget)
     if isinstance(verdict, Periodic):
         return Stable(verdict.preperiod + verdict.period, (verdict.preperiod, verdict.period))

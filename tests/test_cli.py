@@ -374,7 +374,21 @@ def test_package_import_loads_only_the_modules_asked_for():
         loaded[stmt] = run.stdout.split()
     assert loaded["import orbitkit"] == []
     assert loaded["from orbitkit import lifepoly"] == [
-        "orbitkit.dynamics", "orbitkit.life", "orbitkit.lifepoly", "orbitkit.polymap"]
+        "orbitkit.dynamics", "orbitkit.lifepoly", "orbitkit.polymap"]
+
+
+def test_lifepoly_annotations_resolve_and_load_life_on_demand():
+    # in a fresh process, where lifepoly has not loaded life
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    code = ("import sys, typing; from orbitkit import lifepoly\n"
+            "print('orbitkit.life' in sys.modules)\n"
+            "for f in (lifepoly.encode, lifepoly.decode, lifepoly.quadrant_safe):\n"
+            "    print(*(t.__qualname__ for t in typing.get_type_hints(f).values()))\n"
+            "print('orbitkit.life' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "False", "frozenset SparsePoint", "SparsePoint frozenset", "frozenset bool", "True"]
 
 
 def test_cli_annotations_resolve_and_load_their_modules_on_demand():
@@ -404,6 +418,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"]),
         (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
          ["cycles", "dynamics", "orbit", "polymap"]),
+        (["poly-rule"], ["dynamics", "lifepoly", "polymap"]),
     ):
         run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True)

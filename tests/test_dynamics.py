@@ -57,10 +57,14 @@ def test_sparse_point_validation():
 
 
 def test_key_is_sorted_coordinates_then_values():
-    assert SparsePoint({5: -3, 0: 1})._key() == (0, 5, 1, -3)
-    assert SparsePoint()._key() == ()
-    # one point's values may read as another's coordinates; the length tells them apart
+    assert SparsePoint({5: -3, 0: 1})._key() == ((0, 5), 1, -3)
+    assert SparsePoint()._key() == ((),)
     assert SparsePoint({0: 1, 1: 2})._key() != SparsePoint({0: 1})._key()
+    # a key holds the layout it is given when its own sorted coordinates equal it
+    layout = (0, 5)
+    assert SparsePoint({5: 7, 0: 2})._key(layout)[0] is layout
+    assert SparsePoint({5: 7, 0: 2})._key()[0] is not layout
+    assert SparsePoint({0: 2})._key(layout) == ((0,), 2)
 
 
 @given(points)
@@ -320,7 +324,7 @@ def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
     assert m.apply(x) == expected
     # the key mover, not apply, is the path that skips evaluate
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
-    y = SparsePoint._from_key(m._key_mover()(x._key()))
+    y = SparsePoint._from_key(m._key_mover(x._key())(x._key()))
     assert calls == []
     assert y == expected
     # a coefficient-1 move stores the input's own int object, not a copy

@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -193,31 +194,89 @@ def test_move_only_closures_match_the_point_storing_reference(gens, x, max_point
 @given(move_maps(), st.lists(edge_points, min_size=1, max_size=6))
 def test_key_mover_matches_apply(g, points):
     # several points, so later ones reuse plans built for earlier layouts
-    move = g._key_mover()
+    move = g._key_mover(points[0]._key())
     for p in points * 2:
         assert move(p._key()) == g.apply(p)._key()
 
 
 def test_key_mover_on_empty_and_one_coordinate_keys():
-    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})._key_mover()
-    assert swap(()) == ()
-    assert swap((0, 5)) == (1, 5)
-    assert swap((1, 5)) == (0, 5)
-    assert swap((0, 1, 5, 7)) == (0, 1, 7, 5)
-    assert FiniteComponentMap({0: variable(6)})._key_mover()((0, 5)) == ()
-    assert FiniteComponentMap({0: -3 * variable(2)})._key_mover()((2, 4)) == (0, 2, -12, 4)
+    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})._key_mover(((),))
+    assert swap(((),)) == ((),)
+    assert swap(((0,), 5)) == ((1,), 5)
+    assert swap(((1,), 5)) == ((0,), 5)
+    layout = (0, 1)
+    image = swap((layout, 5, 7))
+    assert image == ((0, 1), 7, 5)
+    # an unchanged layout is handed out as the source's own object
+    assert image[0] is layout
+    assert FiniteComponentMap({0: variable(6)})._key_mover(((0,), 5))(((0,), 5)) == ((),)
+    key = ((2,), 4)
+    assert FiniteComponentMap({0: -3 * variable(2)})._key_mover(key)(key) == ((0, 2), -12, 4)
 
 
 def test_a_general_component_has_no_key_mover():
-    assert FiniteComponentMap({0: variable(0) + 1, 1: variable(0)})._key_mover() is None
-    assert FiniteComponentMap({0: constant(0)})._key_mover() is None
+    start = SparsePoint({0: 1})._key()
+    assert FiniteComponentMap({0: variable(0) + 1, 1: variable(0)})._key_mover(start) is None
+    assert FiniteComponentMap({0: constant(0)})._key_mover(start) is None
 
 
-def small_b5():
-    """B_5 acting on coordinates 0-4 of a point holding 1-7 on coordinates 0-6,
-    generated by a swap, a 5-cycle and a sign flip.  The action is free, so the
-    orbit has 2^5 * 5! = 3840 points."""
-    x = SparsePoint({c: c + 1 for c in range(7)})
+def test_sign_flips_hand_out_the_start_values():
+    v = 2**100 + 1
+    start = SparsePoint({0: v, 1: -v, 2: v})._key()
+    flip = FiniteComponentMap({0: -variable(0), 1: -variable(1)})._key_mover(start)
+    image = flip(start)
+    assert image == SparsePoint({0: -v, 1: v, 2: v})._key()
+    assert image[0] is start[0]
+    # v and -v were both in the start: each flips to the other's object
+    assert image[1] is start[2] and image[2] is start[1]
+    # a value the start lacks is negated as a new int
+    assert flip((start[0], 5 * v, 3, v))[1:] == (-5 * v, -3, v)
+
+
+# signed values that the negation table must handle: the start holds v and -v
+# and repeats a value; large bases, so that a negation allocates a new int
+@st.composite
+def signed_points(draw):
+    base = draw(st.sampled_from((1, 2**100)))
+    v = base + draw(st.integers(0, 2))
+    a, b, c = draw(st.lists(st.sampled_from(COORDS[:6]), min_size=3, max_size=3, unique=True))
+    entries = draw(st.dictionaries(
+        st.integers(0, 5), st.sampled_from((-1, 1)).map(lambda sign: sign * (base + 3)),
+        max_size=3))
+    entries.update({a: v, b: -v, c: v})
+    return SparsePoint(entries)
+
+
+# sign flips and swaps mixed with 2*x_j and -3*x_j moves
+flip_components = st.builds(lambda c, j: c * variable(j),
+                            st.sampled_from((1, -1, -1, 2, -3)), st.sampled_from(COORDS))
+flip_maps = st.dictionaries(st.sampled_from(COORDS), flip_components, min_size=1,
+                            max_size=3).map(FiniteComponentMap)
+
+
+@given(st.lists(flip_maps, min_size=1, max_size=3), signed_points(), st.integers(1, 40))
+def test_the_negation_table_matches_apply_and_the_reference(gens, x, max_points):
+    check_against_reference(gens, x, max_points, 8)
+    check_against_reference(gens, x, 200, 30)
+    start = x._key()
+    _, keys = orbit._explore(gens, x, 200, 30)
+    for g in gens:
+        move = g._key_mover(start)
+        for key in keys:
+            assert move(key) == g.apply(SparsePoint._from_key(key))._key()
+        # built once from the start's values and never grown
+        assert len(inspect.getclosurevars(move).nonlocals["negate"]) <= 2 * len(x)
+    if all(abs(coeff) == 1 for g in gens for poly in g.components.values()
+           for coeff in poly.terms.values()):
+        # only the start's values and one negation of each ever appear
+        assert len({id(v) for key in keys for v in key[1:]}) <= 2 * len(x)
+
+
+def small_b5(base=0):
+    """B_5 acting on coordinates 0-4 of a point holding base + 1 to base + 7 on
+    coordinates 0-6, generated by a swap, a 5-cycle and a sign flip.  The action
+    is free, so the orbit has 2^5 * 5! = 3840 points."""
+    x = SparsePoint({c: base + c + 1 for c in range(7)})
     swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
     cycle = FiniteComponentMap({i: variable((i + 1) % 5) for i in range(5)})
     flip = FiniteComponentMap({0: -variable(0)})
@@ -225,7 +284,7 @@ def small_b5():
 
 
 def test_closure_stores_a_point_in_under_320_bytes():
-    # the flat keys take about 190 bytes a point here, SparsePoint objects in a set about 470
+    # the keys take about 140 bytes a point here, SparsePoint objects in a set about 470
     gens, x = small_b5()
     tracemalloc.start()
     try:
@@ -235,6 +294,25 @@ def test_closure_stores_a_point_in_under_320_bytes():
         tracemalloc.stop()
     assert verdict == Stable(3840)
     assert peak / 3840 < 320
+
+
+def test_big_valued_closure_shares_one_layout_and_the_start_values():
+    # values of 101 bits, so a negation is a new int, not a cached small one
+    gens, x = small_b5(2**100)
+    tracemalloc.start()
+    try:
+        verdict = orbit_closure(gens, x, 100_000, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Stable(3840)
+    # about 140 bytes a point, where 16-slot flat keys and a new int per flip took 210
+    assert peak / 3840 < 170
+    _, keys = orbit._explore(gens, x, 100_000, 10_000)
+    assert len(keys) == 3840
+    assert len({id(key[0]) for key in keys}) == 1
+    assert next(iter(keys))[0] == tuple(range(7))
+    assert len({id(v) for key in keys for v in key[1:]}) <= 2 * 7
 
 
 def test_closure_never_hashes_or_compares_points(monkeypatch):
