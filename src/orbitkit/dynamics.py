@@ -5,9 +5,7 @@ Two map families describe every self-map the toolkit needs:
 
 * :class:`FiniteComponentMap` rewrites finitely many coordinates with
   polynomials and leaves every other coordinate untouched; application
-  evaluates every component.  A map whose components are all moves
-  ``c*x_j`` also maps point keys to image keys without building a
-  point, for the walks in :mod:`orbitkit.orbit`.
+  evaluates every component.
 * :class:`GridRuleMap` lifts a local rule on a 3x3 planar neighborhood to
   the whole coordinate axis through a pairing, an injection of quadrant
   cells into coordinate indexes.  Every coordinate is computed by the
@@ -22,6 +20,14 @@ Two map families describe every self-map the toolkit needs:
   owns the mask convention (bit i stands for x_i) and
   :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs to
   expand pattern sets into rules.
+
+The walks in :mod:`orbitkit.orbit` keep points as keys
+(:meth:`SparsePoint._key`) and step them through :func:`_key_step`, one
+function per generator.  Only a component map of ``x_j`` and ``-x_j``
+components that keeps the start's layout steps keys directly, as one
+fixed signed permutation of the start key's slots; it can neither grow a
+value nor change the support.  Every other map, and every key of another
+layout, takes ``apply`` on the point rebuilt from the key.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -77,6 +83,9 @@ class SparsePoint:
     """
 
     __slots__ = ("_entries",)
+    # __getitem__ reads 0 at every index, so the old sequence protocol would
+    # make iter() and ``in`` run forever; read a point through items()
+    __iter__ = None
 
     def __init__(self, entries: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
         data: dict[int, int] = {}
@@ -218,12 +227,11 @@ class FiniteComponentMap:
     x_i -> x_i.  :meth:`apply` evaluates every component as a polynomial
     on the input, so all components update simultaneously.
 
-    A map of *moves* only, every component a single term ``c*x_j`` of
-    degree 1 such as a swap or a sign flip, can also take a point's
-    key straight to its image's key (:meth:`_key_mover`, which the walks
-    in :mod:`orbitkit.orbit` use), at the cost of one small plan per
-    distinct layout among the keys it maps.  The two share no code, so
-    each checks the other.
+    A map whose components are all ``x_j`` or ``-x_j``, such as a swap, a
+    cycle or a sign flip, and which keeps a walk's start layout, is a
+    signed permutation of the start key's slots; :func:`_key_step` then
+    steps keys of that layout without building a point.  The two share
+    no code, so each checks the other.
     """
 
     __slots__ = ("_components",)
@@ -257,78 +265,6 @@ class FiniteComponentMap:
             else:
                 entries.pop(coord, None)
         return SparsePoint._raw(entries)
-
-    def _key_mover(self, start: tuple) -> Union[Callable[[tuple], tuple], None]:
-        """For a map of moves only, a function from a point's key to its image's
-        key, equal to ``self.apply(SparsePoint._from_key(key))._key()``; None
-        when a component is not a single ``c*x_j``.
-
-        An image's layout depends only on the source's, so the function builds
-        one plan per source layout it meets and keeps it for its own lifetime:
-        the image layout (the source's own object when it is unchanged), a
-        gather of source value slots, the slots to negate, and the slots to
-        scale by a coefficient other than 1 and -1.  A negation reads a table
-        built once from the values of ``start``, the walk's start key: each
-        value and its negative, at most twice as many entries as ``start``
-        has values, so sign flips of those values hand out objects already
-        held instead of new ints.  A key with a known layout costs one dict
-        lookup, the gather and a concatenation."""
-        moves = {}
-        for coord, poly in self._components.items():
-            terms = poly.terms
-            if len(terms) != 1:
-                return None
-            [(mono, coeff)] = terms.items()
-            if len(mono) != 1 or mono[0][1] != 1:
-                return None
-            moves[coord] = (mono[0][0], coeff)
-        # one object per distinct start value, then value -> its negative
-        own = {v: v for v in start[1:]}
-        negate = {}
-        for v in own:
-            w = own.get(-v, -v)
-            negate[v], negate[w] = w, v
-        plans: dict = {}
-
-        def plan(layout):
-            slots = {coord: i for i, coord in enumerate(layout, 1)}
-            # coordinate -> (key slot it reads, coefficient); a move whose
-            # variable is absent deletes its coordinate
-            sources = {coord: (slots[coord], 1) for coord in layout if coord not in moves}
-            for coord, (var, coeff) in moves.items():
-                if var in slots:
-                    sources[coord] = (slots[var], coeff)
-            out = tuple(sorted(sources))
-            if out == layout:
-                out = layout
-            reads = [sources[coord][0] for coord in out]
-            if len(reads) > 1:
-                gather = itemgetter(*reads)
-            else:  # itemgetter() raises, and itemgetter(i) gives a bare value
-                gather = lambda key: tuple(key[i] for i in reads)
-            coeffs = [sources[coord][1] for coord in out]
-            flips = tuple(i for i, coeff in enumerate(coeffs) if coeff == -1)
-            scaled = tuple((i, coeff) for i, coeff in enumerate(coeffs) if coeff not in (1, -1))
-            return (out,), gather, flips, scaled
-
-        def mover(key):
-            layout = key[0]
-            p = plans.get(layout)
-            if p is None:
-                p = plans[layout] = plan(layout)
-            head, gather, flips, scaled = p
-            values = gather(key)
-            if flips or scaled:
-                values = list(values)
-                for i in flips:
-                    v = values[i]
-                    values[i] = negate.get(v) or -v  # no value is 0
-                for i, coeff in scaled:
-                    values[i] *= coeff
-                values = tuple(values)
-            return head + values
-
-        return mover
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {p}" for i, p in sorted(self._components.items()))
@@ -509,6 +445,69 @@ class GridRuleMap:
 
 
 PolyMapDesc = Union[FiniteComponentMap, GridRuleMap]
+
+
+def _key_step(g: PolyMapDesc, start: tuple) -> Callable[[tuple], tuple]:
+    """A function from a point's key to its image's key under ``g``, for a walk
+    from the point whose key is ``start``.
+
+    The default rebuilds the point, applies ``g`` and keys the image with the
+    source's layout object, shared when the layout is unchanged.  A
+    :class:`FiniteComponentMap` whose components are all ``x_j`` or ``-x_j``,
+    where each component ``c`` reading ``x_j`` has ``c`` in the start's layout
+    exactly when ``j`` is, maps that layout onto itself: on keys holding the
+    start's layout object it is one gather of key slots, with the layout in
+    slot 0, and a negation of the flipped slots.  A negation reads a table
+    built once from the start's values, each value and its negative, so sign
+    flips hand out objects already held instead of new ints.  Its images
+    hold the start's layout and only values of the source or their
+    negatives; any other key takes the default."""
+    apply, from_key = g.apply, SparsePoint._from_key
+
+    def rebuild(key):
+        return apply(from_key(key))._key(key[0])
+
+    if not isinstance(g, FiniteComponentMap):
+        return rebuild
+    layout = start[0]
+    slot = {coord: i for i, coord in enumerate(layout, 1)}
+    source = dict(slot)  # coordinate -> the slot its image value reads
+    flips = []
+    for coord, poly in g._components.items():
+        terms = poly.terms
+        if len(terms) != 1:
+            return rebuild
+        [(mono, coeff)] = terms.items()
+        if len(mono) != 1 or mono[0][1] != 1 or coeff not in (1, -1):
+            return rebuild
+        var = mono[0][0]
+        if (coord in slot) != (var in slot):
+            return rebuild
+        if var in slot:
+            source[coord] = slot[var]
+            if coeff == -1:
+                flips.append(slot[coord])
+    # tuple(key) is key itself, the image of the empty point
+    gather = itemgetter(0, *map(source.get, layout)) if layout else tuple
+    # one object per distinct start value, then value -> its negative
+    own = {v: v for v in start[1:]}
+    negate = {}
+    for v in own:
+        w = own.get(-v, -v)
+        negate[v], negate[w] = w, v
+
+    def move(key):
+        if key[0] is not layout:
+            return rebuild(key)
+        if not flips:
+            return gather(key)
+        values = list(gather(key))
+        for i in flips:
+            v = values[i]
+            values[i] = negate.get(v) or -v  # no value is 0
+        return tuple(values)
+
+    return move
 
 
 def iterate(m: PolyMapDesc, x: SparsePoint, n: int) -> SparsePoint:

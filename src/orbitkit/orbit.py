@@ -18,14 +18,13 @@ tuple of 48 + 8n bytes, its set slot, and whatever values it shares with
 no other point: about 140 to 160 bytes for 7 or 8 coordinates under
 swaps, cycles and sign flips, measured with ``tracemalloc``.
 
-Both walks step keys through one function per generator: for a
-:class:`FiniteComponentMap` of moves only (every component a single
-``c*x_j``, as in swaps, cycles and sign flips) its key mover, which keeps
-one plan per distinct layout among the keys it maps and negates values
-through a table of the start point's values and their negatives; for
-every other generator, a :class:`GridRuleMap` or a map with a general
-component, its ``apply`` on the point rebuilt from the key, keyed with
-the source's layout object when the layout is unchanged.
+Both walks step keys through :func:`orbitkit.dynamics._key_step`, one
+function per generator, built once from the start key: for a
+:class:`~orbitkit.dynamics.FiniteComponentMap` of ``x_j`` and ``-x_j``
+components that keeps the start's layout, as in swaps, cycles and sign
+flips, a fixed signed permutation of the start key's slots; for every
+other generator, and for keys of another layout, ``apply`` on the point
+rebuilt from the key.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -36,7 +35,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from . import cycles
-from .dynamics import FiniteComponentMap, PolyMapDesc, SparsePoint
+from .dynamics import PolyMapDesc, SparsePoint, _key_step
 
 __all__ = [
     "Stable",
@@ -94,16 +93,6 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     return Unknown(points_explored=budget + 1, budget_hit="budget")
 
 
-def _key_step(g: PolyMapDesc, start: tuple):
-    """A function from a point's key to its image's key under ``g``, for a
-    walk from the point whose key is ``start``."""
-    move = g._key_mover(start) if isinstance(g, FiniteComponentMap) else None
-    if move is not None:
-        return move
-    apply, from_key = g.apply, SparsePoint._from_key
-    return lambda key: apply(from_key(key))._key(key[0])
-
-
 def _explore(generators, x, max_points, max_depth):
     gens = list(generators)
     if not gens:
@@ -145,11 +134,10 @@ def orbit_closure(
     reported orbit size counts x itself (the monoid's identity element).
     Each visited point is kept as one key, about 140 to 160 bytes for 7 or
     8 coordinates (see the module docstring), so ``max_points`` bounds the
-    closure's memory as well as its work.  Move-only component maps map
-    keys to keys without building a point; each keeps at most one plan per
-    distinct layout among the visited points and a negation table of at
-    most twice as many entries as the start has values, so the bound holds
-    for those too.
+    closure's memory as well as its work.  A generator that steps keys
+    without building a point holds one plan built from the start key: a
+    gather, the flipped slots and a negation table of at most twice as many
+    entries as the start has values, so the bound holds for those too.
     """
     verdict, _ = _explore(generators, x, max_points, max_depth)
     return verdict

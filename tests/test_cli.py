@@ -410,6 +410,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     (tmp_path / "m.tm").write_text(WRITER)
     (tmp_path / "p.pt").write_text("0:5\n")
     (tmp_path / "flip.map").write_text("0: -1*x0\n")
+    (tmp_path / "b.rle").write_text(BLINKER_RLE)
     env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
     report = ("import sys; from orbitkit import cli; code = cli.main(sys.argv[1:]); "
               "print(*sorted(m for m in sys.modules if m.startswith('orbitkit.')), "
@@ -419,6 +420,10 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
         (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
          ["cycles", "dynamics", "orbit", "polymap"]),
         (["poly-rule"], ["dynamics", "lifepoly", "polymap"]),
+        (["life", "run", "b.rle"], ["life"]),
+        (["verify", "--trials", "2"], ["dynamics", "life", "lifepoly", "polymap"]),
+        (["orbit", "check", "--encode", "b.rle", "--translate", "2", "2", "--map", "gol"],
+         ["cycles", "dynamics", "life", "lifepoly", "orbit", "polymap"]),
     ):
         run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True)

@@ -16,6 +16,7 @@ from orbitkit.dynamics import (
     PairingSpec,
     PointParseError,
     SparsePoint,
+    _key_step,
     emit_point,
     iterate,
     parse_point,
@@ -90,6 +91,19 @@ def test_sparse_point_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_sparse_point_refuses_iteration_at_once():
+    # __getitem__ answers 0 at every index, so the sequence protocol never ends:
+    # iter() is checked first, because ``in`` and list() would hang without the fix
+    p = SparsePoint({0: 1})
+    with pytest.raises(TypeError):
+        iter(p)
+    with pytest.raises(TypeError):
+        3 in p
+    with pytest.raises(TypeError):
+        list(p)
+    assert sorted(p.items()) == [(0, 1)] and p.support() == {0}
 
 
 def test_sparse_point_repeated_coordinates_are_last_wins():
@@ -322,11 +336,17 @@ def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
                             5: 3 * variable(5), 9: variable(4)})
     expected = SparsePoint({0: -(2**300), 1: 2**320 + 1, 2: -7, 5: 21})
     assert m.apply(x) == expected
-    # the key mover, not apply, is the path that skips evaluate
+    start = x._key()
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
-    y = SparsePoint._from_key(m._key_mover(x._key())(x._key()))
+    # a scale and a move onto a new coordinate take apply, every component evaluated
+    assert SparsePoint._from_key(_key_step(m, start)(start)) == expected
+    assert calls == ["evaluate"] * 5
+    del calls[:]
+    # unit moves that keep the layout are the key path that skips evaluate
+    signed = FiniteComponentMap({0: variable(1), 1: variable(0), 5: -variable(5), 9: variable(4)})
+    y = SparsePoint._from_key(_key_step(signed, start)(start))
     assert calls == []
-    assert y == expected
+    assert y == SparsePoint({0: -(2**300), 1: 2**320 + 1, 5: -7})
     # a coefficient-1 move stores the input's own int object, not a copy
     assert y[0] is x[1] and y[1] is x[0]
 

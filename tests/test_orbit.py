@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitkit import cycles, life, orbit
-from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint
+from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_step
 from orbitkit.lifepoly import build_gol_map, cantor_pairing, encode, quadrant_safe
 from orbitkit.orbit import (
     Stable,
@@ -193,37 +193,84 @@ def test_move_only_closures_match_the_point_storing_reference(gens, x, max_point
 
 @given(move_maps(), st.lists(edge_points, min_size=1, max_size=6))
 def test_key_mover_matches_apply(g, points):
-    # several points, so later ones reuse plans built for earlier layouts
-    move = g._key_mover(points[0]._key())
+    # later points share the start's layout object when their layout equals it
+    start = points[0]._key()
+    step = _key_step(g, start)
     for p in points * 2:
-        assert move(p._key()) == g.apply(p)._key()
+        assert step(p._key(start[0])) == g.apply(p)._key()
 
 
 def test_key_mover_on_empty_and_one_coordinate_keys():
-    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})._key_mover(((),))
-    assert swap(((),)) == ((),)
-    assert swap(((0,), 5)) == ((1,), 5)
-    assert swap(((1,), 5)) == ((0,), 5)
+    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
+    empty = _key_step(swap, ((),))
+    assert empty(((),)) == ((),)
+    assert empty(((0,), 5)) == ((1,), 5)
+    assert empty(((1,), 5)) == ((0,), 5)
     layout = (0, 1)
-    image = swap((layout, 5, 7))
+    image = empty((layout, 5, 7))
     assert image == ((0, 1), 7, 5)
     # an unchanged layout is handed out as the source's own object
     assert image[0] is layout
-    assert FiniteComponentMap({0: variable(6)})._key_mover(((0,), 5))(((0,), 5)) == ((),)
+    start = (layout, 5, 7)
+    image = _key_step(swap, start)(start)
+    assert image == ((0, 1), 7, 5) and image[0] is layout
+    assert _key_step(FiniteComponentMap({0: variable(6)}), ((0,), 5))(((0,), 5)) == ((),)
     key = ((2,), 4)
-    assert FiniteComponentMap({0: -3 * variable(2)})._key_mover(key)(key) == ((0, 2), -12, 4)
+    assert _key_step(FiniteComponentMap({0: -3 * variable(2)}), key)(key) == ((0, 2), -12, 4)
 
 
-def test_a_general_component_has_no_key_mover():
+def test_a_general_component_has_no_key_mover(monkeypatch):
     start = SparsePoint({0: 1})._key()
-    assert FiniteComponentMap({0: variable(0) + 1, 1: variable(0)})._key_mover(start) is None
-    assert FiniteComponentMap({0: constant(0)})._key_mover(start) is None
+    calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    for g, image in ((FiniteComponentMap({0: variable(0) + 1, 1: variable(0)}), {0: 2, 1: 1}),
+                     (FiniteComponentMap({0: constant(0)}), {})):
+        assert _key_step(g, start)(start) == SparsePoint(image)._key()
+    assert calls == ["apply"] * 2
+
+
+# scaled moves, and unit moves that change the start's layout {0, 2}: from 0 to
+# a coordinate outside it, from outside it to 2, and a swap with one side outside
+APPLIED_MOVES = ({0: 2 * variable(0)}, {2: -3 * variable(0), 0: -variable(2)},
+                 {1: -variable(0)}, {2: variable(3)}, {0: variable(1), 1: variable(0)})
+
+
+@pytest.mark.parametrize("components", APPLIED_MOVES)
+def test_scaled_and_layout_changing_moves_step_through_apply(monkeypatch, components):
+    g = FiniteComponentMap(components)
+    x = SparsePoint({0: 5, 2: 7})
+    calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    # one apply per step: as many as the point-storing references make
+    expected = reference_closure([g], x, 30, 6)[0]
+    applies = len(calls)
+    assert orbit_closure([g], x, 30, 6) == expected
+    assert len(calls) == 2 * applies > 0
+    del calls[:]
+    expected = reference_singleton(g, x, 12)
+    applies = len(calls)
+    assert is_stable_singleton(g, x, 12) == expected
+    assert len(calls) == 2 * applies > 0
+    check_against_reference([g], x, 30, 6)
+    # mixed with a flip that steps the start's layout without apply
+    check_against_reference([g, FiniteComponentMap({2: -variable(2)})], x, 30, 6)
+
+
+def test_a_layout_equal_to_the_start_in_another_tuple_takes_apply(monkeypatch):
+    swap = FiniteComponentMap({0: variable(1), 1: -variable(0)})
+    start = SparsePoint({0: 5, 1: 7})._key()
+    calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
+    step = _key_step(swap, start)
+    assert step(start) == ((0, 1), 7, -5)
+    assert calls == []
+    key = (tuple([0, 1]), 3, 4)
+    assert key[0] == start[0] and key[0] is not start[0]
+    assert step(key) == swap.apply(SparsePoint({0: 3, 1: 4}))._key() == ((0, 1), 4, -3)
+    assert calls == ["apply"] * 2
 
 
 def test_sign_flips_hand_out_the_start_values():
     v = 2**100 + 1
     start = SparsePoint({0: v, 1: -v, 2: v})._key()
-    flip = FiniteComponentMap({0: -variable(0), 1: -variable(1)})._key_mover(start)
+    flip = _key_step(FiniteComponentMap({0: -variable(0), 1: -variable(1)}), start)
     image = flip(start)
     assert image == SparsePoint({0: -v, 1: v, 2: v})._key()
     assert image[0] is start[0]
@@ -258,16 +305,22 @@ flip_maps = st.dictionaries(st.sampled_from(COORDS), flip_components, min_size=1
 def test_the_negation_table_matches_apply_and_the_reference(gens, x, max_points):
     check_against_reference(gens, x, max_points, 8)
     check_against_reference(gens, x, 200, 30)
-    start = x._key()
     _, keys = orbit._explore(gens, x, 200, 30)
-    for g in gens:
-        move = g._key_mover(start)
+    # the walk's own start key, whose layout object the keys of its layout share
+    start = next(key for key in keys if key == x._key())
+    steps = [_key_step(g, start) for g in gens]
+    for g, step in zip(gens, steps):
         for key in keys:
-            assert move(key) == g.apply(SparsePoint._from_key(key))._key()
-        # built once from the start's values and never grown
-        assert len(inspect.getclosurevars(move).nonlocals["negate"]) <= 2 * len(x)
-    if all(abs(coeff) == 1 for g in gens for poly in g.components.values()
-           for coeff in poly.terms.values()):
+            assert step(key) == g.apply(SparsePoint._from_key(key))._key()
+    tables = [inspect.getclosurevars(step).nonlocals.get("negate") for step in steps]
+    for g, table in zip(gens, tables):
+        if any(abs(coeff) > 1 for poly in g.components.values() for coeff in poly.terms.values()):
+            # a scaled map takes apply, which has no table
+            assert table is None
+        elif table is not None:
+            # built once from the start's values and never grown
+            assert len(table) <= 2 * len(x)
+    if None not in tables:
         # only the start's values and one negation of each ever appear
         assert len({id(v) for key in keys for v in key[1:]}) <= 2 * len(x)
 
