@@ -74,6 +74,18 @@ def _at_least(minimum: int):
     return parse
 
 
+def _soup_side(text: str) -> int:
+    """argparse type: a ``verify --size`` whose soup box holds at most
+    ``life.MAX_RLE_CELLS`` cells, the cap a pattern file has."""
+    from . import life
+
+    side = _at_least(1)(text)
+    if side * side > life.MAX_RLE_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"a {side} x {side} soup has more than {life.MAX_RLE_CELLS} cells")
+    return side
+
+
 def _unit_interval(text: str) -> float:
     """argparse type: a finite number in [0, 1], for probabilities, in ASCII."""
     try:
@@ -350,7 +362,7 @@ def _build_parser() -> _Parser:
 
     vf = sub.add_parser("verify", help="random differential test of map vs. engine")
     vf.add_argument("--trials", type=_at_least(0), default=1000)
-    vf.add_argument("--size", type=_at_least(1), default=16)
+    vf.add_argument("--size", type=_soup_side, default=16)
     vf.add_argument("--density", type=_unit_interval, default=0.3)
     vf.add_argument("--seed", type=_integer, default=42)
     vf.add_argument("--corrupt", action="store_true",

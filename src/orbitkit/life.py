@@ -125,7 +125,11 @@ def parse_rle(text: str) -> LifeConfig:
     Accepts the community dialect: ``#`` comment lines, a header
     ``x = <w>, y = <h>`` (a trailing ``rule = ...`` clause is ignored),
     runs of ``b``/``o``/``$``, and a ``!`` terminator after which the
-    rest of the input is ignored.  The pattern is anchored so its first
+    rest of the input is ignored.  A run is an optional count in ASCII
+    digits, then its symbol; the count may be 0, and whitespace, line
+    breaks and ``#`` lines may split it.  One pass keeps one pending
+    count, which each ``b``, ``o`` or ``$`` uses up and a ``!`` must not
+    find.  The pattern is anchored so its first
     row and column are 0, and every live cell must lie in the declared
     ``w`` x ``h`` box.  A run that would take the pattern past
     ``MAX_RLE_CELLS`` (100,000) live cells is an error raised before the
@@ -150,43 +154,36 @@ def parse_rle(text: str) -> LifeConfig:
 
     cells = set()
     expanded = 0
-    x = y = count = 0
-    has_count = False
+    x = y = 0
+    count = None  # the pending run count, None until its first digit
     for li in range(header_at + 1, len(lines)):
         line = lines[li]
         if line.lstrip().startswith("#"):
             continue
         for ci, ch in enumerate(line):
             if "0" <= ch <= "9":
-                count = count * 10 + int(ch)
-                has_count = True
-            elif ch == "b":
-                x += count if has_count else 1
-                count, has_count = 0, False
-            elif ch == "o":
-                n = count if has_count else 1
-                if n and (x + n > width or y >= height):
-                    raise RleParseError(
-                        f"live cell outside the declared {width} x {height} box", li + 1, ci + 1)
-                expanded += n
-                if expanded > MAX_RLE_CELLS:
-                    raise RleParseError(
-                        f"pattern has more than {MAX_RLE_CELLS} live cells", li + 1, ci + 1)
-                for k in range(n):
-                    cells.add((x + k, y))
-                x += n
-                count, has_count = 0, False
-            elif ch == "$":
-                y += count if has_count else 1
-                x = 0
-                count, has_count = 0, False
+                count = int(ch) if count is None else count * 10 + int(ch)
+            elif ch in "bo$":
+                n = 1 if count is None else count
+                count = None
+                if ch == "o":
+                    if n and (x + n > width or y >= height):
+                        raise RleParseError(f"live cell outside the declared {width} x {height} box",
+                                            li + 1, ci + 1)
+                    expanded += n
+                    if expanded > MAX_RLE_CELLS:
+                        raise RleParseError(
+                            f"pattern has more than {MAX_RLE_CELLS} live cells", li + 1, ci + 1)
+                    cells.update((x + k, y) for k in range(n))
+                if ch == "$":
+                    x, y = 0, y + n
+                else:
+                    x += n
             elif ch == "!":
-                if has_count:
+                if count is not None:
                     raise RleParseError("run count before terminator", li + 1, ci + 1)
                 return frozenset(cells)
-            elif ch.isspace():
-                continue
-            else:
+            elif not ch.isspace():
                 raise RleParseError(f"unknown symbol {ch!r}", li + 1, ci + 1)
     raise RleParseError("missing '!' terminator", len(lines), len(lines[-1]) + 1 if lines else 1)
 
@@ -195,58 +192,53 @@ def emit_rle(config: LifeConfig) -> str:
     """Encode a configuration, translated to its bounding-box origin.
 
     The empty configuration encodes as ``x = 0, y = 0`` with a bare
-    terminator.  Body lines wrap at 70 characters.
+    terminator.  The live cells are walked once in (row, column) order
+    with one cursor, the cell where the open run of live cells would
+    continue; a cell anywhere else closes that run and writes the ``$``
+    and ``b`` runs that reach it.  Each token is appended to the last
+    body line, or starts a new one when it would pass 70 characters.
     """
     if not config:
         return "x = 0, y = 0\n!"
     x0, y0, x1, y1 = bounding_box(config)
-    width, height = x1 - x0 + 1, y1 - y0 + 1
+    body = [""]
 
-    rows: dict[int, list[int]] = {}
-    for x, y in config:
-        rows.setdefault(y - y0, []).append(x - x0)
+    def put(n: int, ch: str) -> None:
+        token = ch if n == 1 else f"{n}{ch}"
+        if body[-1] and len(body[-1]) + len(token) > 70:
+            body.append(token)
+        else:
+            body[-1] += token
 
-    def tok(n: int, ch: str) -> str:
-        return ch if n == 1 else f"{n}{ch}"
-
-    tokens = []
-    prev_row = 0
-    for row in sorted(rows):
-        if row > prev_row:
-            tokens.append(tok(row - prev_row, "$"))
-        cursor = 0
-        xs = sorted(rows[row])
-        i = 0
-        while i < len(xs):
-            j = i
-            while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
-                j += 1
-            if xs[i] > cursor:
-                tokens.append(tok(xs[i] - cursor, "b"))
-            tokens.append(tok(j - i + 1, "o"))
-            cursor = xs[j] + 1
-            i = j + 1
-        prev_row = row
-    tokens.append("!")
-
-    body_lines = []
-    line: list[str] = []
-    length = 0
-    for t in tokens:
-        if length + len(t) > 70 and line:
-            body_lines.append("".join(line))
-            line, length = [], 0
-        line.append(t)
-        length += len(t)
-    body_lines.append("".join(line))
-    return f"x = {width}, y = {height}\n" + "\n".join(body_lines)
+    # the cursor (row, col) is where the open run of `run` live cells would continue
+    row = col = run = 0
+    for y, x in sorted((y - y0, x - x0) for x, y in config):
+        if y == row and x == col:
+            run, col = run + 1, col + 1
+            continue
+        if run:
+            put(run, "o")
+        if y > row:
+            put(y - row, "$")
+            col = 0
+        if x > col:
+            put(x - col, "b")
+        row, col, run = y, x + 1, 1
+    put(run, "o")
+    put(1, "!")
+    return f"x = {x1 - x0 + 1}, y = {y1 - y0 + 1}\n" + "\n".join(body)
 
 
 def render(config: LifeConfig) -> str:
-    """``#``/``.`` grid clipped to the bounding box."""
+    """``#``/``.`` grid clipped to the bounding box.  A box of more than
+    ``MAX_RLE_CELLS`` cells, the cap a pattern file has, raises
+    ``ValueError``, so a few distant cells cannot ask for gigabytes."""
     if not config:
         return "(empty)"
     x0, y0, x1, y1 = bounding_box(config)
+    if (x1 - x0 + 1) * (y1 - y0 + 1) > MAX_RLE_CELLS:
+        raise ValueError(f"a {x1 - x0 + 1} x {y1 - y0 + 1} grid has more than "
+                         f"{MAX_RLE_CELLS} cells")
     return "\n".join(
         "".join("#" if (x, y) in config else "." for x in range(x0, x1 + 1))
         for y in range(y0, y1 + 1)

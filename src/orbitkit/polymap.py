@@ -281,32 +281,30 @@ def _coerce(value):
 
 
 _FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
+# a term separator: "+", "-", or "+" then "-"; a "-" in it makes the next term negative
+_TERM_SEP_RE = re.compile(r"(\+\s*-|[+-])")
 
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the text format emitted by :meth:`Polynomial.to_text`.
 
-    Accepts terms in any order and tolerates flexible whitespace around
-    ``+``, ``-``, and ``*``.
+    Terms are separated by ``+``, ``-``, or ``+`` then ``-``, and the
+    first term may carry one of these as its sign; whitespace is free
+    around every sign and ``*``.  A term is its factors joined by ``*``:
+    an optional coefficient first, then ``x<i>`` or ``x<i>^<e>``, in
+    ASCII digits.  Terms may come in any order.
     """
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
-    # every '-' becomes '+-', so after splitting on '+' a '-' can only lead a chunk
-    chunks = s.replace("-", "+-").split("+")
+    # ["", sign, term, sign, term, ...]: the leading sign leaves an empty first
+    # piece, and a first term without one is given "+"
+    pieces = _TERM_SEP_RE.split(s if s[0] in "+-" else "+" + s)
     terms = []
-    for pos, chunk in enumerate(chunks):
+    for sign, chunk in zip(pieces[1::2], pieces[2::2]):
         chunk = chunk.strip()
         if not chunk:
-            follows_negative = pos + 1 < len(chunks) and chunks[pos + 1].lstrip().startswith("-")
-            if pos == 0 or follows_negative:
-                continue  # leading minus, or an explicit "+ -c*..." term
-            raise PolyParseError(f"empty term in {text.strip()!r}")
-        negative = chunk.startswith("-")
-        if negative:
-            chunk = chunk[1:].strip()
-            if not chunk:
-                raise PolyParseError(f"dangling sign in {text.strip()!r}")
+            raise PolyParseError(f"empty term in {s!r}")
         coeff = 1
         pairs = []
         for i, raw in enumerate(chunk.split("*")):
@@ -322,5 +320,5 @@ def parse_poly(text: str) -> Polynomial:
             if not m:
                 raise PolyParseError(f"bad factor {token!r} in term {chunk!r}")
             pairs.append((int(m.group(1)), int(m.group(2) or 1)))
-        terms.append((tuple(pairs), -coeff if negative else coeff))
+        terms.append((tuple(pairs), -coeff if sign.endswith("-") else coeff))
     return Polynomial(terms)

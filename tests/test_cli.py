@@ -406,6 +406,46 @@ def test_cli_annotations_resolve_and_load_their_modules_on_demand():
     assert typing.get_type_hints(parse_component_map) == {"text": str, "return": FiniteComponentMap}
 
 
+def readme_example(title, nth=0):
+    """The nth unlabelled fenced block after the bold ``title`` in the README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rest = text[text.index(f"**{title}**"):]
+    return re.findall(r"^```\n(.*?)^```", rest, re.M | re.S)[nth]
+
+
+# stdout is byte-deterministic: nothing a command prints may depend on the
+# per-process string hash seed
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tm", "run", "machine.tm", "--input", "0110"],
+        ["tm", "periodicity", "machine.tm", "--input", "0110", "--algorithm", "brent"],
+        ["life", "run", "glider.rle", "--steps", "8", "--trace", "--grid"],
+        ["poly-rule", "--expanded"],
+        ["verify", "--trials", "50"],
+        ["orbit", "check", "--point", "start.pt", "--map", "flip.map"],
+        ["orbit", "check", "--point", "pair.pt", "--map", "swap.map", "--map", "flip.map"],
+        ["orbit", "check", "--encode", "glider.rle", "--translate", "10", "10",
+         "--map", "gol", "--max-steps", "50"],
+    ],
+    ids=["tm-run", "tm-periodicity", "life-run", "poly-rule", "verify", "orbit-flip",
+         "orbit-closure", "orbit-gol"],
+)
+def test_stdout_is_the_same_under_two_hash_seeds(args, tmp_path):
+    (tmp_path / "machine.tm").write_text(readme_example("Turing machines"))
+    (tmp_path / "flip.map").write_text(readme_example("Component maps"))
+    (tmp_path / "swap.map").write_text(readme_example("Component maps", 1))
+    (tmp_path / "start.pt").write_text("0:5\n")
+    (tmp_path / "pair.pt").write_text("0:5 1:7\n")
+    (tmp_path / "glider.rle").write_text(GLIDER_RLE + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-m", "orbitkit", *args], cwd=tmp_path,
+                           env={**env, "PYTHONHASHSEED": seed}, capture_output=True)
+            for seed in ("0", "12345")]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
 def test_each_command_loads_only_its_own_modules(tmp_path):
     (tmp_path / "m.tm").write_text(WRITER)
     (tmp_path / "p.pt").write_text("0:5\n")
@@ -486,6 +526,29 @@ def test_pattern_past_the_cell_cap_is_input_error(args, tmp_path, monkeypatch, c
     assert code == 1
     assert out == ""
     assert "more than 100000 live cells (line 2, column 8)" in err and "Traceback" not in err
+
+
+# four blocks at the corners of a 10**5 x 10**5 box: 16 live cells, but a grid of 10**10
+SPARSE_CORNERS_RLE = ("x = 100000, y = 100000\n"
+                      "2o99996b2o$2o99996b2o99997$2o99996b2o$2o99996b2o!\n")
+
+
+@pytest.mark.parametrize("args", [["life", "step", "s.rle", "--grid"],
+                                  ["life", "run", "s.rle", "--steps", "1", "--grid"]],
+                         ids=["life-step", "life-run"])
+def test_grid_past_the_cell_cap_is_input_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.rle").write_text(SPARSE_CORNERS_RLE)
+    started = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a 100000 x 100000 grid has more than 100000 cells\n")
+    # without --grid the same pattern steps and prints at once
+    code, out, _ = run_cli(args[:-1], capsys)
+    assert code == 0
+    assert "population=16 bbox=0,0,99999,99999" in out
 
 
 # "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError
@@ -581,6 +644,7 @@ def test_out_of_range_budget_is_usage_error(args, tmp_path, blinker_file, capsys
         ["verify", "--seed", "1_0"],
         ["verify", "--density", "٠.٣"],
         ["verify", "--density", "0.3_0"],
+        ["verify", "--size", "317"],
     ],
 )
 def test_out_of_range_verify_argument_is_usage_error(args, capsys):
@@ -597,6 +661,10 @@ def test_verify_accepts_the_range_ends(capsys):
         code, out, _ = run_cli(["verify", "--trials", "3", *args], capsys)
         assert code == 0
         assert "failures=0 passes=3" in out
+    # the largest soup whose box stays within life.MAX_RLE_CELLS
+    code, out, _ = run_cli(["verify", "--trials", "1", "--size", "316"], capsys)
+    assert code == 0
+    assert "failures=0 passes=1" in out
 
 
 def test_negative_seed_and_translate_are_read(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -153,6 +154,10 @@ def test_parse_multiline_body_and_multi_digit_counts():
     text = "x = 12, y = 2\n10o2b$\n12o!"
     expected = {(x, 0) for x in range(10)} | {(x, 1) for x in range(12)}
     assert parse_rle(text) == frozenset(expected)
+    # a count may be split by whitespace or a line break, and may be 0
+    assert parse_rle("x = 12, y = 1\n1 2o!") == frozenset((x, 0) for x in range(12))
+    assert parse_rle("x = 12, y = 1\n1\n2o!") == frozenset((x, 0) for x in range(12))
+    assert parse_rle("x = 3, y = 2\n0o0$o!") == frozenset({(0, 0)})
 
 
 def test_parse_errors_carry_position():
@@ -167,6 +172,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(RleParseError) as exc:
         parse_rle("x = 3, y = 1\n3o")
     assert "terminator" in str(exc.value)
+
+    with pytest.raises(RleParseError) as exc:
+        parse_rle("x = 3, y = 1\n3o2!")
+    assert "run count before terminator" in str(exc.value)
+    assert exc.value.line == 2 and exc.value.column == 4
 
     with pytest.raises(RleParseError):
         parse_rle("")
@@ -238,6 +248,10 @@ def test_emit_wraps_body_lines():
     text = emit_rle(big)
     body = text.splitlines()[1:]
     assert all(len(line) <= 70 for line in body)
+    # the exact text is pinned, token order and line breaks included
+    assert len(body) == 18
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "07f3207ff8a537edd5328783cefc5fae073d039bed18fa7513beb38f267d997f")
     assert parse_rle(text) == big  # soup already sits at the origin quadrant corner
 
 
@@ -245,3 +259,6 @@ def test_render():
     assert render(BLINKER) == "###"
     assert render(step(BLINKER)) == "#\n#\n#"
     assert render(frozenset()) == "(empty)"
+    # a box past the pattern-file cap is refused before any row is built
+    with pytest.raises(ValueError, match="a 317 x 316 grid has more than 100000 cells"):
+        render(frozenset({(0, 0), (316, 315)}))

@@ -170,13 +170,18 @@ def test_parse_accepts_any_order_and_whitespace():
     assert parse_poly("x0 - x0") == Polynomial()
     assert parse_poly("x3") == variable(3)
     assert parse_poly(" - x2 ") == -variable(2)
+    # a separator is "+", "-" or "+" then "-"; the first term may carry one as its sign
+    assert parse_poly("+-x0") == -variable(0)
+    assert parse_poly("+x0") == variable(0)
+    assert parse_poly("x0 + - x1") == variable(0) - variable(1)
 
 
 # str.isdigit and the regex \d also match other scripts' digits: int() rejects "²"
 # and reads "٣" (Arabic-Indic three) as 3, so neither may reach it
 @pytest.mark.parametrize(
     "bad",
-    ["", "x0 @ x1", "2*", "x0*2", "x0 + + x1", "y0", "x0^", "3..2", "²*x0", "٣*x0", "x٣", "x0^٣"],
+    ["", "x0 @ x1", "2*", "x0*2", "x0 + + x1", "y0", "x0^", "3..2", "²*x0", "٣*x0", "x٣", "x0^٣",
+     "-", "x0 +", "- - x0", "x0 -+ x1"],
 )
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(PolyParseError):
