@@ -7,6 +7,11 @@ The empty tuple is the constant monomial.  Two polynomials are equal
 exactly when their canonical term maps are equal, and hashing respects
 that, so polynomials work as dict keys and set members.
 
+The constructor is the one place that canonicalizes: it sorts and merges
+each monomial's factors, sums the coefficients of equal monomials and
+drops the zeros.  ``+`` passes it both operands' terms and ``*`` every
+pairwise product of terms, so the operators hold no merge of their own.
+
 Coefficients and evaluation use Python's arbitrary-precision integers,
 so iterating polynomial maps never overflows or rounds.
 
@@ -77,17 +82,6 @@ def _monomial_tree(terms: Mapping[Monomial, int]) -> list:
     return root
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for var, exp in b:
-        out[var] = out.get(var, 0) + exp
-    return tuple(sorted(out.items()))
-
-
 class Polynomial:
     """Immutable sparse polynomial in variables x0, x1, ... over the integers."""
 
@@ -126,9 +120,8 @@ class Polynomial:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = constant(other)
-        if not isinstance(other, Polynomial):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -142,14 +135,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = data.get(mono, 0) + coeff
-            if c:
-                data[mono] = c
-            else:
-                data.pop(mono, None)
-        return Polynomial._raw(data)
+        return Polynomial([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -169,16 +155,8 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _merge_monomials(m1, m2)
-                c = data.get(m, 0) + c1 * c2
-                if c:
-                    data[m] = c
-                else:
-                    data.pop(m, None)
-        return Polynomial._raw(data)
+        terms = other._terms.items()
+        return Polynomial([(m1 + m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in terms])
 
     __rmul__ = __mul__
 

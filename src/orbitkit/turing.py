@@ -124,13 +124,19 @@ class TMDesc(_Record):
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
 
 
+def _check_natural(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise TmError(f"{what} must be a natural number, got {value!r}")
+
+
 class Configuration:
     """Machine state, tape contents, and head position; immutable.
 
     ``Configuration(state, tape, head, blank)`` is the one checking
     constructor: ``tape`` is a mapping or (cell, symbol) pairs, every cell
-    and the head must be natural numbers, and cells holding ``blank`` are
-    dropped.  The blank itself is not kept.
+    and the head must be natural ``int`` values (not ``bool``), else it
+    raises TmError, and cells holding ``blank`` are dropped.  The blank
+    itself is not kept.
 
     The tape is a zipper of persistent cons lists.  ``_left`` holds cells
     head-1, ..., 0 (blanks as None), so its length is exactly ``head``;
@@ -149,12 +155,10 @@ class Configuration:
     __slots__ = ("_state", "_head", "_left", "_right", "_fp")
 
     def __init__(self, state: str, tape: Union[Mapping[int, str], Iterable], head: int, blank: str):
-        if head < 0:
-            raise TmError(f"head position must be a natural number, got {head}")
+        _check_natural(head, "head position")
         cells = {}
         for cell, symbol in dict(tape).items():
-            if cell < 0:
-                raise TmError(f"tape cell must be a natural number, got {cell}")
+            _check_natural(cell, "tape cell")
             if symbol != blank:
                 cells[cell] = symbol
         left = right = _NIL

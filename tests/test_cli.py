@@ -406,11 +406,57 @@ def test_cli_annotations_resolve_and_load_their_modules_on_demand():
     assert typing.get_type_hints(parse_component_map) == {"text": str, "return": FiniteComponentMap}
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def readme_example(title, nth=0):
     """The nth unlabelled fenced block after the bold ``title`` in the README."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     rest = text[text.index(f"**{title}**"):]
     return re.findall(r"^```\n(.*?)^```", rest, re.M | re.S)[nth]
+
+
+def write_readme_examples(work):
+    """The README's example machine and component maps, and two start points."""
+    (work / "machine.tm").write_text(readme_example("Turing machines"))
+    (work / "flip.map").write_text(readme_example("Component maps"))
+    (work / "swap.map").write_text(readme_example("Component maps", 1))
+    (work / "start.pt").write_text("0:5\n")
+    (work / "pair.pt").write_text("0:5 1:7\n")
+
+
+def test_readme_python_blocks_run():
+    # a public name the README uses cannot disappear without failing here
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S))
+    assert blocks
+    for m in blocks:
+        # pad with the lines above the block so tracebacks name README lines
+        code = "\n" * text.count("\n", 0, m.start(1)) + m.group(1)
+        exec(compile(code, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["tm", "periodicity", "machine.tm", "--input", "0110"],
+         "verdict=periodic preperiod=6 period=1"),
+        (["orbit", "check", "--point", "start.pt", "--map", "flip.map"],
+         "verdict=stable orbit_size=2 preperiod=0 period=2"),
+        (["orbit", "check", "--point", "pair.pt", "--map", "swap.map", "--map", "flip.map"],
+         "verdict=stable orbit_size=8"),
+        # the swap moves 0:5 to coordinate 1 and deletes coordinate 0
+        (["orbit", "check", "--point", "start.pt", "--map", "swap.map", "--map", "flip.map"],
+         "verdict=stable orbit_size=4"),
+    ],
+    ids=["tm-periodicity", "orbit-flip", "orbit-pair-closure", "orbit-start-closure"],
+)
+def test_readme_examples_keep_their_verdicts(args, line, tmp_path, monkeypatch, capsys):
+    write_readme_examples(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert line in out.splitlines()
 
 
 # stdout is byte-deterministic: nothing a command prints may depend on the
@@ -432,11 +478,7 @@ def readme_example(title, nth=0):
          "orbit-closure", "orbit-gol"],
 )
 def test_stdout_is_the_same_under_two_hash_seeds(args, tmp_path):
-    (tmp_path / "machine.tm").write_text(readme_example("Turing machines"))
-    (tmp_path / "flip.map").write_text(readme_example("Component maps"))
-    (tmp_path / "swap.map").write_text(readme_example("Component maps", 1))
-    (tmp_path / "start.pt").write_text("0:5\n")
-    (tmp_path / "pair.pt").write_text("0:5 1:7\n")
+    write_readme_examples(tmp_path)
     (tmp_path / "glider.rle").write_text(GLIDER_RLE + "\n")
     env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
     runs = [subprocess.run([sys.executable, "-m", "orbitkit", *args], cwd=tmp_path,

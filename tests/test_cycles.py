@@ -50,6 +50,20 @@ def test_both_detectors_count_termination_identically():
         assert detect_brent(step, 0, 10000) == Terminated(length)
 
 
+def test_brent_refuses_a_step_that_halts_on_its_second_visit_to_a_state():
+    # 0 -> 1 -> 2 -> 2 as far as phase 1 sees; when phase 2 re-walks the tail,
+    # state 1 halts instead, which no deterministic step function can do
+    visits = {}
+
+    def step(n):
+        visits[n] = visits.get(n, 0) + 1
+        return None if (n, visits[n]) == (1, 2) else min(n + 1, 2)
+
+    with pytest.raises(RuntimeError, match="terminated inside a detected cycle"):
+        detect_brent(step, 0, 100)
+    assert visits[1] == 2
+
+
 def test_halting_tm_trajectory_terminates_at_same_step_count():
     m = parse_tm(WRITER)
     step = step_fn(m)

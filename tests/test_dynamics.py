@@ -29,6 +29,7 @@ from orbitkit.lifepoly import (
     pair,
     unpair,
 )
+from orbitkit.orbit import Stable, is_stable_singleton, orbit_closure
 from orbitkit.polymap import Polynomial, constant, variable
 
 from helpers import count_calls, reference_component_apply, reference_grid_apply
@@ -83,6 +84,23 @@ def test_keys_are_injective(p, q):
 def test_component_map_rejects_a_bool_coordinate():
     with pytest.raises(ValueError, match="coordinate"):
         FiniteComponentMap({True: variable(0)})
+
+
+def test_component_map_rejects_a_component_that_is_no_polynomial():
+    with pytest.raises(ValueError, match="must be a Polynomial"):
+        FiniteComponentMap({0: "x0"})
+
+
+def test_an_int_component_is_a_constant():
+    # 3 sets coordinate 0 and 0 deletes it, in apply and in both orbit walks
+    sets, deletes = FiniteComponentMap({0: 3}), FiniteComponentMap({0: 0})
+    assert sets.components[0] == constant(3)
+    x = SparsePoint({0: 5, 1: 7})
+    assert sets.apply(x) == SparsePoint({0: 3, 1: 7})
+    assert deletes.apply(x) == SparsePoint({1: 7})
+    assert orbit_closure([sets, deletes], x, 100, 100) == Stable(orbit_size=3)
+    assert is_stable_singleton(sets, x, 100) == Stable(orbit_size=2, witness=(1, 1))
+    assert is_stable_singleton(deletes, x, 100) == Stable(orbit_size=2, witness=(1, 1))
 
 
 def test_sparse_point_equality_and_hash():

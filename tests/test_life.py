@@ -160,6 +160,13 @@ def test_parse_multiline_body_and_multi_digit_counts():
     assert parse_rle("x = 3, y = 2\n0o0$o!") == frozenset({(0, 0)})
 
 
+def test_parse_skips_comment_lines_inside_the_body():
+    # a "#" line may come between body rows, and may split a run count
+    assert parse_rle("x = 3, y = 3\nbo$\n#C between rows\n2bo$3o!") == GLIDER
+    text = "x = 12, y = 1\n1\n  #C inside a count\n2o!"
+    assert parse_rle(text) == frozenset((x, 0) for x in range(12))
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(RleParseError) as exc:
         parse_rle("x = 3; y = 1\n3o!")

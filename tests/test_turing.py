@@ -238,6 +238,28 @@ def test_configuration_validates_positions():
         Configuration("q", [(2, "0"), (-3, "_")], 1, "_")
 
 
+def test_configuration_rejects_a_fractional_head():
+    with pytest.raises(TmError, match="head position"):
+        Configuration("q", {}, 1.5, "_")
+
+
+def test_configuration_rejects_a_fractional_cell():
+    with pytest.raises(TmError, match="tape cell"):
+        Configuration("q", {1.5: "1"}, 0, "_")
+
+
+def test_configuration_rejects_a_string_head():
+    with pytest.raises(TmError, match="head position"):
+        Configuration("q", {}, "1", "_")
+
+
+def test_configuration_rejects_a_bool_head_and_cell():
+    with pytest.raises(TmError, match="head position must be a natural number, got True"):
+        Configuration("q", {}, True, "_")
+    with pytest.raises(TmError, match="tape cell"):
+        Configuration("q", {False: "1"}, 0, "_")
+
+
 @given(
     st.dictionaries(st.integers(0, 30), st.sampled_from("01")),
     st.sets(st.integers(0, 40)),
