@@ -14,8 +14,11 @@ Each command imports only the modules it uses: a ``tm`` run loads
 
 Reports are ``key=value`` lines on stdout, one logical result per line.
 Stdout is byte-deterministic for fixed inputs and seed; the wall-time
-line goes to stderr.  Every file argument accepts ``-`` for stdin, at
-most once per command; input is UTF-8 and ``sha256=`` hashes its bytes.
+line goes to stderr.  ``verify`` splits its trials across the CPUs the
+process may run on, one forked worker per CPU past the first, and its
+stdout is the same whatever their number.  Every file argument accepts
+``-`` for stdin, at most once per command; input is UTF-8 and
+``sha256=`` hashes its bytes.
 
 Exit codes: 0 = a verdict was produced (Unknown included); 1 = input
 error, any ``ValueError`` or ``OSError`` (every error class of the
@@ -29,7 +32,7 @@ its first line, so an input or output error prints nothing on stdout.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -110,6 +113,8 @@ def _read_text(path: str) -> tuple[str, str]:
     else:
         data = Path(path).read_bytes()
         name = path
+    import hashlib  # loads OpenSSL, so only commands that read a file pay for it
+
     digest = hashlib.sha256(data).hexdigest()
     return data.decode("utf-8"), f"input={name} sha256={digest}"
 
@@ -289,9 +294,64 @@ def _corrupted_rule():
     )
 
 
-def cmd_verify(args) -> int:
-    import random
+def _sum_over_shares(count, n: int) -> int:
+    """Sum ``count(start, stop)`` over contiguous shares of [0, n), one per
+    CPU this process may run on.
 
+    The first share runs here; each other share runs in a forked worker
+    that sends its count through a pipe and leaves by ``os._exit``, so it
+    never returns into the caller.  A share runs here too when ``fork``
+    fails or the platform has none.  A worker that exits abnormally is a
+    ``RuntimeError``; every worker is reaped before this returns or raises.
+    """
+    import signal  # builds its enums on import, which no other command needs
+
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    shares = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, n))
+    bounds = [n * k // shares for k in range(shares + 1)]
+    if sys.stdout is not None:  # None when the process was started with stdout closed
+        sys.stdout.flush()  # so no worker holds a copy of buffered output
+    total = 0
+    workers = []  # (pid, read end of its pipe, start, stop)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                total += count(start, stop)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    os.write(write_end, str(count(start, stop)).encode())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            workers.append((pid, read_end, start, stop))
+        total += count(bounds[0], bounds[1])
+        while workers:
+            pid, read_end, start, stop = workers.pop()
+            with open(read_end, "rb") as pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise RuntimeError(
+                    f"the worker for trials {start}..{stop - 1} exited with status {code}")
+            total += int(sent)
+    finally:
+        for pid, read_end, _, _ in workers:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return total
+
+
+def cmd_verify(args) -> int:
     from . import life, lifepoly
     from .dynamics import GridRuleMap
 
@@ -299,13 +359,17 @@ def cmd_verify(args) -> int:
     print(f"trials={args.trials} size={args.size} density={args.density} seed={args.seed}")
     gol = (GridRuleMap(_corrupted_rule(), lifepoly.cantor_pairing()) if args.corrupt
            else lifepoly.build_gol_map())
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        soup = life.random_soup(rng, args.size, args.density, origin=(1, 1))
-        # encode is injective, so comparing points compares configurations
-        if gol.apply(lifepoly.encode(soup)) != lifepoly.encode(life.step(soup)):
-            failures += 1
+
+    def failures_in(start: int, stop: int) -> int:
+        failures = 0
+        for soup in life.seeded_soups(args.seed, start, stop, args.size, args.density,
+                                      origin=(1, 1)):
+            # encode is injective, so comparing points compares configurations
+            if gol.apply(lifepoly.encode(soup)) != lifepoly.encode(life.step(soup)):
+                failures += 1
+        return failures
+
+    failures = _sum_over_shares(failures_in, args.trials)
     print(f"failures={failures} passes={args.trials - failures}")
     return 0 if failures == 0 else 2
 

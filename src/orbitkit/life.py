@@ -24,6 +24,7 @@ __all__ = [
     "parse_rle",
     "random_soup",
     "render",
+    "seeded_soups",
     "step",
     "translate",
 ]
@@ -109,11 +110,34 @@ def bounding_box(config: LifeConfig):
 
 
 def random_soup(rng, size: int, density: float, origin: Cell = (0, 0)) -> LifeConfig:
-    """Random size x size soup; each cell is live with probability ``density``."""
+    """Random size x size soup; each cell is live with probability ``density``.
+
+    Makes exactly ``size * size`` calls of ``rng.random()``, whatever the
+    density: one per cell, row by row from the top and left to right
+    within a row, the cell live when the draw is below ``density``.
+    """
+    draw = rng.random
+    live = [i for i in range(size * size) if draw() < density]
     ox, oy = origin
-    return frozenset(
-        (ox + x, oy + y) for y in range(size) for x in range(size) if rng.random() < density
-    )
+    return frozenset([(ox + i % size, oy + i // size) for i in live])
+
+
+def seeded_soups(seed: int, start: int, stop: int, size: int, density: float,
+                 origin: Cell = (0, 0)):
+    """Yield soups ``start`` to ``stop - 1`` of the stream that
+    ``random_soup`` draws one after another from ``random.Random(seed)``.
+
+    The draws of the soups before ``start`` are made and discarded, so a
+    share of the stream is the same soups whichever share comes first.
+    """
+    import random
+
+    rng = random.Random(seed)
+    draw = rng.random
+    for _ in range(start * size * size):
+        draw()
+    for _ in range(start, stop):
+        yield random_soup(rng, size, density, origin)
 
 
 _HEADER_RE = re.compile(r"^x\s*=\s*([0-9]+)\s*,\s*y\s*=\s*([0-9]+)\s*(?:,\s*rule\s*=\s*\S+\s*)?$")

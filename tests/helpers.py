@@ -157,6 +157,14 @@ def reference_grid_apply(rule, point):
     return SparsePoint(out)
 
 
+def reference_random_soup(rng, size, density, origin=(0, 0)):
+    """Reference ``life.random_soup``: one draw per cell, row by row, in a generator."""
+    ox, oy = origin
+    return frozenset(
+        (ox + x, oy + y) for y in range(size) for x in range(size) if rng.random() < density
+    )
+
+
 def count_calls(monkeypatch, cls, *names):
     """Wrap the named methods of ``cls`` so each call appends its name to the returned list."""
     calls = []

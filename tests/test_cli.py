@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import io
@@ -309,6 +310,92 @@ def test_verify_compares_points_without_decoding(corrupt, monkeypatch, capsys):
     assert ("failures=0 passes=20" in out) == (not corrupt)
 
 
+# a run whose passes and failures are mixed through its trials
+MIXED_VERIFY = ["verify", "--corrupt", "--size", "4", "--density", "0.35", "--trials", "400",
+                "--seed", "9"]
+
+
+def failing_fork():
+    raise OSError(errno.EAGAIN, "fork refused")
+
+
+# each setting changes how the trials are shared out; none may change what verify reports
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--trials", "0"], ["verify", "--trials", "1"], ["verify", "--trials", "7"],
+     MIXED_VERIFY],
+    ids=["0", "1", "7", "mixed"],
+)
+def test_verify_reports_the_same_whatever_the_worker_count(args, monkeypatch, capsys):
+    def cpus(n):
+        return lambda pid: set(range(n))
+
+    # os attributes to set, or to delete where None
+    settings = [{"sched_getaffinity": cpus(n)} for n in (1, 2, 3, 8)]
+    settings += [{"sched_getaffinity": None}, {"sched_getaffinity": cpus(8), "fork": None},
+                 {"sched_getaffinity": cpus(8), "fork": failing_fork}]
+    runs = []
+    for setting in settings:
+        with monkeypatch.context() as m:
+            for name, value in setting.items():
+                if value is None:
+                    m.delattr(os, name, raising=False)
+                else:
+                    m.setattr(os, name, value)
+            code, out, err = run_cli(args, capsys)
+        assert re.fullmatch(r"walltime_ms=\d+\.\d\n", err), err
+        runs.append((code, out))
+    assert runs == [runs[0]] * len(settings)
+    if args is MIXED_VERIFY:
+        assert runs[0][0] == 2
+        assert runs[0][1].splitlines()[-1] == "failures=288 passes=112"
+
+
+def test_verify_runs_with_stdout_closed(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)  # as when the process starts with fd 1 closed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["verify", "--trials", "4"]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_verify_pinned_to_one_cpu_prints_the_same_bytes():
+    env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
+    pinned = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+              "from orbitkit import cli; sys.exit(cli.main(sys.argv[1:]))")
+    runs = [subprocess.run([sys.executable, *head, *MIXED_VERIFY], env=env, capture_output=True)
+            for head in (["-c", pinned], ["-m", "orbitkit"])]
+    assert runs[0].returncode == 2, runs[0].stderr
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+@pytest.mark.parametrize("fails_in", ["worker", "parent"])
+def test_a_failing_share_is_an_internal_error_and_reaps_every_worker(
+    fails_in, monkeypatch, capsys
+):
+    parent, real_step = os.getpid(), life.step
+
+    def step(config):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            # a ValueError that escaped a worker would be reported as an input error
+            raise ValueError("step failed")
+        return real_step(config)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(life, "step", step)
+    code, out, err = run_cli(["verify", "--trials", "10"], capsys)
+    assert code == (2 if fails_in == "worker" else 1)
+    prefix = "internal check failed:" if fails_in == "worker" else "error: step failed"
+    assert [line.startswith(prefix) for line in err.splitlines()] == [True, False]
+    assert "Traceback" not in err
+    assert "failures=" not in out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(life, "step", real_step)
+    assert run_cli(["verify", "--trials", "10"], capsys)[0] == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     machine = tmp_path / "bin.tm"
     machine.write_bytes(b"\xff\xfe")
@@ -496,23 +583,24 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
     report = ("import sys; from orbitkit import cli; code = cli.main(sys.argv[1:]); "
               "print(*sorted(m for m in sys.modules if m.startswith('orbitkit.')), "
-              "'dataclasses' in sys.modules); sys.exit(code)")
-    for args, modules in (
-        (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"]),
+              "'dataclasses' in sys.modules, 'hashlib' in sys.modules); sys.exit(code)")
+    # hashlib loads OpenSSL; only a command that reads a file needs it, for its sha256 line
+    for args, modules, reads_a_file in (
+        (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"], True),
         (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
-         ["cycles", "dynamics", "orbit", "polymap"]),
-        (["poly-rule"], ["dynamics", "lifepoly", "polymap"]),
-        (["life", "run", "b.rle"], ["life"]),
-        (["verify", "--trials", "2"], ["dynamics", "life", "lifepoly", "polymap"]),
+         ["cycles", "dynamics", "orbit", "polymap"], True),
+        (["poly-rule"], ["dynamics", "lifepoly", "polymap"], False),
+        (["life", "run", "b.rle"], ["life"], True),
+        (["verify", "--trials", "2"], ["dynamics", "life", "lifepoly", "polymap"], False),
         (["orbit", "check", "--encode", "b.rle", "--translate", "2", "2", "--map", "gol"],
-         ["cycles", "dynamics", "life", "lifepoly", "orbit", "polymap"]),
+         ["cycles", "dynamics", "life", "lifepoly", "orbit", "polymap"], True),
     ):
         run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         loaded = run.stdout.splitlines()[-1].split()
-        assert loaded[:-1] == sorted(f"orbitkit.{m}" for m in ["cli", *modules])
-        assert loaded[-1] == "False"
+        assert loaded[:-2] == sorted(f"orbitkit.{m}" for m in ["cli", *modules])
+        assert loaded[-2:] == ["False", str(reads_a_file)]
 
 
 def test_no_module_imports_dataclasses():

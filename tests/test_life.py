@@ -30,6 +30,7 @@ from helpers import (
     dense_step,
     neighbor_count,
     neighbors,
+    reference_random_soup,
     reference_step,
 )
 
@@ -135,6 +136,25 @@ def test_random_soup_is_seed_deterministic():
     a = life.random_soup(random.Random(3), 10, 0.4)
     b = life.random_soup(random.Random(3), 10, 0.4)
     assert a == b
+
+
+def test_random_soup_matches_the_reference_and_draws_once_per_cell():
+    pick = random.Random(28)
+    for size in range(21):
+        for density in (0, 1, 0.5, *(pick.random() for _ in range(4))):
+            seed, origin = pick.randrange(1 << 30), (pick.randint(-5, 5), pick.randint(-5, 5))
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert (life.random_soup(rng, size, density, origin)
+                        == reference_random_soup(ref, size, density, origin))
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (0, 5), (2, 5), (5, 5), (4, 9)])
+def test_seeded_soups_are_a_share_of_one_seeded_stream(start, stop):
+    rng = random.Random(11)
+    stream = [life.random_soup(rng, 7, 0.35, origin=(1, 1)) for _ in range(9)]
+    assert list(life.seeded_soups(11, start, stop, 7, 0.35, origin=(1, 1))) == stream[start:stop]
 
 
 def test_parse_blinker():
