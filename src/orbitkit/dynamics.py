@@ -21,13 +21,11 @@ Two map families describe every self-map the toolkit needs:
   :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs to
   expand pattern sets into rules.
 
-The walks in :mod:`orbitkit.orbit` keep points as keys
-(:meth:`SparsePoint._key`) and step them through :func:`_key_step`, one
-function per generator.  Only a component map of ``x_j`` and ``-x_j``
-components that keeps the start's layout steps keys directly, as one
-fixed signed permutation of the start key's slots; it can neither grow a
-value nor change the support.  Every other map, and every key of another
-layout, takes ``apply`` on the point rebuilt from the key.
+The walks in :mod:`orbitkit.orbit` keep points as keys and step them
+through :func:`_key_walk`, one function per generator: byte codes of the
+start's values when every generator is a signed permutation that keeps
+the start's layout, else :meth:`SparsePoint._key` tuples stepped by
+``apply``.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -229,9 +227,8 @@ class FiniteComponentMap:
 
     A map whose components are all ``x_j`` or ``-x_j``, such as a swap, a
     cycle or a sign flip, and which keeps a walk's start layout, is a
-    signed permutation of the start key's slots; :func:`_key_step` then
-    steps keys of that layout without building a point.  The two share
-    no code, so each checks the other.
+    signed permutation; :func:`_key_walk` steps such walks without
+    building a point.  The two share no code, so each checks the other.
     """
 
     __slots__ = ("_components",)
@@ -447,67 +444,74 @@ class GridRuleMap:
 PolyMapDesc = Union[FiniteComponentMap, GridRuleMap]
 
 
-def _key_step(g: PolyMapDesc, start: tuple) -> Callable[[tuple], tuple]:
-    """A function from a point's key to its image's key under ``g``, for a walk
-    from the point whose key is ``start``.
-
-    The default rebuilds the point, applies ``g`` and keys the image with the
-    source's layout object, shared when the layout is unchanged.  A
-    :class:`FiniteComponentMap` whose components are all ``x_j`` or ``-x_j``,
-    where each component ``c`` reading ``x_j`` has ``c`` in the start's layout
-    exactly when ``j`` is, maps that layout onto itself: on keys holding the
-    start's layout object it is one gather of key slots, with the layout in
-    slot 0, and a negation of the flipped slots.  A negation reads a table
-    built once from the start's values, each value and its negative, so sign
-    flips hand out objects already held instead of new ints.  Its images
-    hold the start's layout and only values of the source or their
-    negatives; any other key takes the default."""
-    apply, from_key = g.apply, SparsePoint._from_key
-
-    def rebuild(key):
-        return apply(from_key(key))._key(key[0])
-
+def _signed_permutation(g: PolyMapDesc, slot: dict) -> Union[list, None]:
+    """For a :class:`FiniteComponentMap` of ``x_j`` and ``-x_j`` components,
+    each ``c: x_j`` having ``c`` in ``slot`` (coordinate -> slot) exactly when
+    ``j`` is, the slot each slot reads, plus ``len(slot)`` for a negation;
+    else None."""
     if not isinstance(g, FiniteComponentMap):
-        return rebuild
-    layout = start[0]
-    slot = {coord: i for i, coord in enumerate(layout, 1)}
-    source = dict(slot)  # coordinate -> the slot its image value reads
-    flips = []
+        return None
+    n = len(slot)
+    source = list(range(n))
     for coord, poly in g._components.items():
         terms = poly.terms
         if len(terms) != 1:
-            return rebuild
+            return None
         [(mono, coeff)] = terms.items()
         if len(mono) != 1 or mono[0][1] != 1 or coeff not in (1, -1):
-            return rebuild
+            return None
         var = mono[0][0]
         if (coord in slot) != (var in slot):
-            return rebuild
-        if var in slot:
-            source[coord] = slot[var]
-            if coeff == -1:
-                flips.append(slot[coord])
-    # tuple(key) is key itself, the image of the empty point
-    gather = itemgetter(0, *map(source.get, layout)) if layout else tuple
-    # one object per distinct start value, then value -> its negative
+            return None
+        if coord in slot:
+            source[slot[coord]] = slot[var] + (n if coeff == -1 else 0)
+    return source
+
+
+def _key_walk(generators: list, x: SparsePoint) -> tuple:
+    """The start key of a walk from ``x``, one step per generator from a key to
+    its image's key, and the function from a key back to its point.
+
+    When every generator is a :func:`_signed_permutation` of ``x``'s slots and
+    ``x`` has at least two coordinates and at most 128 distinct absolute
+    values, every point of the orbit is ``x``'s values moved and sign-flipped
+    within its layout.  A key is then a ``bytes`` code of one entry ``2*k + s``
+    per slot, ``k`` indexing ``x``'s distinct absolute values and ``s`` the
+    sign, so equal points get equal codes; a step gathers the image from
+    ``code + code.translate(flip)``, ``flip`` toggling bit 0.
+
+    Every other walk keys points with :meth:`SparsePoint._key` and steps a key
+    by applying the generator to the point rebuilt from it, keying the image
+    with the source's layout object, shared when the layout is unchanged."""
+    start = x._key()
+    layout = start[0]
+    slot = {coord: i for i, coord in enumerate(layout)}
+    magnitudes = list(dict.fromkeys(map(abs, start[1:])))
+    plans = [_signed_permutation(g, slot) for g in generators]
+    # itemgetter of one index returns the item, not a tuple, and a walk from
+    # fewer than two coordinates stores next to nothing either way
+    if len(layout) < 2 or len(magnitudes) > 128 or None in plans:
+        from_key = SparsePoint._from_key
+
+        def rebuild(apply):
+            return lambda key: apply(from_key(key))._key(key[0])
+
+        return start, [rebuild(g.apply) for g in generators], from_key
+    flip = bytes(c ^ 1 for c in range(256))
+
+    def gather(source):
+        take = itemgetter(*source)
+        return lambda code: bytes(take(code + code.translate(flip)))
+
+    # code -> value, one object per value: the start's own where it holds it
     own = {v: v for v in start[1:]}
-    negate = {}
-    for v in own:
-        w = own.get(-v, -v)
-        negate[v], negate[w] = w, v
+    values = [own.get(s * m) or s * m for m in magnitudes for s in (1, -1)]
 
-    def move(key):
-        if key[0] is not layout:
-            return rebuild(key)
-        if not flips:
-            return gather(key)
-        values = list(gather(key))
-        for i in flips:
-            v = values[i]
-            values[i] = negate.get(v) or -v  # no value is 0
-        return tuple(values)
+    def point(code):
+        return SparsePoint._raw(dict(zip(layout, map(values.__getitem__, code))))
 
-    return move
+    code = bytes(map({v: c for c, v in enumerate(values)}.__getitem__, start[1:]))
+    return code, [gather(source) for source in plans], point
 
 
 def iterate(m: PolyMapDesc, x: SparsePoint, n: int) -> SparsePoint:

@@ -127,15 +127,16 @@ def seeded_soups(seed: int, start: int, stop: int, size: int, density: float,
     """Yield soups ``start`` to ``stop - 1`` of the stream that
     ``random_soup`` draws one after another from ``random.Random(seed)``.
 
-    The draws of the soups before ``start`` are made and discarded, so a
-    share of the stream is the same soups whichever share comes first.
+    The draws of the soups before ``start`` are skipped, so a share of the
+    stream is the same soups whichever share comes first: ``random()``
+    reads two 32-bit words of the generator and ``getrandbits(64 * m)``
+    reads ``2 * m`` of them, so one call skips one soup's draws.
     """
     import random
 
     rng = random.Random(seed)
-    draw = rng.random
-    for _ in range(start * size * size):
-        draw()
+    for _ in range(start):
+        rng.getrandbits(64 * size * size)
     for _ in range(start, stop):
         yield random_soup(rng, size, density, origin)
 

@@ -10,21 +10,24 @@ finite.  Stability is confirmed two ways:
   point equality, bounded by a point budget and a depth budget.
 
 Both walks keep each point they store, and each point waiting in the
-closure's frontier, as one key, :meth:`SparsePoint._key`: a tuple of the
-layout (the sorted coordinates, as one tuple), then the values in the
-same order.  Membership is then a tuple hash and compare.  Keys of one
-layout share one layout object, so a point of n coordinates costs a
-tuple of 48 + 8n bytes, its set slot, and whatever values it shares with
-no other point: about 140 to 160 bytes for 7 or 8 coordinates under
-swaps, cycles and sign flips, measured with ``tracemalloc``.
+closure's frontier, as one key, and step keys through
+:func:`orbitkit.dynamics._key_walk`, one function per generator, built
+once from the generators and the start.  Membership is then a hash and
+compare of the key.
 
-Both walks step keys through :func:`orbitkit.dynamics._key_step`, one
-function per generator, built once from the start key: for a
-:class:`~orbitkit.dynamics.FiniteComponentMap` of ``x_j`` and ``-x_j``
-components that keeps the start's layout, as in swaps, cycles and sign
-flips, a fixed signed permutation of the start key's slots; for every
-other generator, and for keys of another layout, ``apply`` on the point
-rebuilt from the key.
+* When every generator is a :class:`~orbitkit.dynamics.FiniteComponentMap`
+  of ``x_j`` and ``-x_j`` components that keeps the start's layout, as in
+  swaps, cycles and sign flips, every point of the orbit is a signed
+  permutation of the start's values.  A key is then a ``bytes`` code of
+  one byte per coordinate, and a step is one gather of bytes.  A point
+  of n coordinates costs a bytes object of 33 + n bytes and its set
+  slot: about 75 to 90 bytes for 7 or 8 coordinates, measured with
+  ``tracemalloc``, whatever the size of its values.
+* Every other walk keys a point as a tuple of its layout (the sorted
+  coordinates, as one tuple) and its values in the same order, and steps
+  a key by ``apply`` on the point rebuilt from it.  Keys of one layout
+  share one layout object, so such a key costs a tuple of 48 + 8n bytes,
+  its set slot, and the values it shares with no other point.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -35,7 +38,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from . import cycles
-from .dynamics import PolyMapDesc, SparsePoint, _key_step
+from .dynamics import PolyMapDesc, SparsePoint, _key_walk
 
 __all__ = [
     "Stable",
@@ -83,8 +86,8 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
-    start = x._key()
-    verdict = cycles.detect_hashset(_key_step(f, start), start, budget)
+    start, [step], _ = _key_walk([f], x)
+    verdict = cycles.detect_hashset(step, start, budget)
     if isinstance(verdict, cycles.Periodic):
         return Stable(
             orbit_size=verdict.preperiod + verdict.period,
@@ -100,14 +103,13 @@ def _explore(generators, x, max_points, max_depth):
     for limit in (max_points, max_depth):
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ValueError("exploration limits must be positive integers")
-    start = x._key()
-    steps = [_key_step(g, start) for g in gens]
+    start, steps, point = _key_walk(gens, x)
     visited = {start}
     frontier = [start]
     depth = 0
     while frontier:
         if depth == max_depth:
-            return Unknown(points_explored=len(visited), budget_hit="max_depth"), visited
+            return Unknown(points_explored=len(visited), budget_hit="max_depth"), visited, point
         depth += 1
         next_frontier = []
         for key in frontier:
@@ -119,10 +121,10 @@ def _explore(generators, x, max_points, max_depth):
                 if len(visited) > size:
                     if size == max_points:
                         visited.remove(y)
-                        return Unknown(points_explored=size, budget_hit="max_points"), visited
+                        return Unknown(points_explored=size, budget_hit="max_points"), visited, point
                     next_frontier.append(y)
         frontier = next_frontier
-    return Stable(orbit_size=len(visited)), visited
+    return Stable(orbit_size=len(visited)), visited, point
 
 
 def orbit_closure(
@@ -132,14 +134,14 @@ def orbit_closure(
 
     Stable exactly when the frontier empties within the limits; the
     reported orbit size counts x itself (the monoid's identity element).
-    Each visited point is kept as one key, about 140 to 160 bytes for 7 or
-    8 coordinates (see the module docstring), so ``max_points`` bounds the
-    closure's memory as well as its work.  A generator that steps keys
-    without building a point holds one plan built from the start key: a
-    gather, the flipped slots and a negation table of at most twice as many
-    entries as the start has values, so the bound holds for those too.
+    Each visited point is kept as one key, about 75 to 90 bytes for 7 or 8
+    coordinates under swaps, cycles and sign flips (see the module
+    docstring), so ``max_points`` bounds the closure's memory as well as
+    its work.  A walk of codes holds besides them one gather per generator
+    and one table of twice as many values as the start has distinct
+    absolute values, so the bound holds for those too.
     """
-    verdict, _ = _explore(generators, x, max_points, max_depth)
+    verdict, _, _ = _explore(generators, x, max_points, max_depth)
     return verdict
 
 
@@ -149,13 +151,15 @@ def enumerate_orbit(
     """The full orbit as a set, or None when a limit fires first.
 
     The closure runs on keys as in :func:`orbit_closure`; each point of a
-    finite orbit is rebuilt from its key at the end, so the returned set
-    of :class:`SparsePoint` objects costs about three times what the
-    closure itself held.
+    finite orbit is decoded from its key at the end by the walk's own
+    key-to-point function, so the returned set of :class:`SparsePoint`
+    objects, about 430 bytes a point for 7 or 8 coordinates, costs about
+    five times what a closure of codes held.  Decoded values are the
+    start's own ints and one negation of each, shared by every point.
     """
-    verdict, visited = _explore(generators, x, max_points, max_depth)
+    verdict, visited, point = _explore(generators, x, max_points, max_depth)
     if isinstance(verdict, Stable):
-        return frozenset(map(SparsePoint._from_key, visited))
+        return frozenset(map(point, visited))
     return None
 
 

@@ -16,7 +16,7 @@ from orbitkit.dynamics import (
     PairingSpec,
     PointParseError,
     SparsePoint,
-    _key_step,
+    _key_walk,
     emit_point,
     iterate,
     parse_point,
@@ -354,15 +354,17 @@ def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
                             5: 3 * variable(5), 9: variable(4)})
     expected = SparsePoint({0: -(2**300), 1: 2**320 + 1, 2: -7, 5: 21})
     assert m.apply(x) == expected
-    start = x._key()
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
     # a scale and a move onto a new coordinate take apply, every component evaluated
-    assert SparsePoint._from_key(_key_step(m, start)(start)) == expected
+    start, [step], point = _key_walk([m], x)
+    assert start == x._key() and point(step(start)) == expected
     assert calls == ["evaluate"] * 5
     del calls[:]
-    # unit moves that keep the layout are the key path that skips evaluate
+    # unit moves that keep the layout step a code and skip evaluate
     signed = FiniteComponentMap({0: variable(1), 1: variable(0), 5: -variable(5), 9: variable(4)})
-    y = SparsePoint._from_key(_key_step(signed, start)(start))
+    start, [step], point = _key_walk([signed], x)
+    assert type(start) is bytes
+    y = point(step(start))
     assert calls == []
     assert y == SparsePoint({0: -(2**300), 1: 2**320 + 1, 5: -7})
     # a coefficient-1 move stores the input's own int object, not a copy

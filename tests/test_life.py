@@ -157,6 +157,28 @@ def test_seeded_soups_are_a_share_of_one_seeded_stream(start, stop):
     assert list(life.seeded_soups(11, start, stop, 7, 0.35, origin=(1, 1))) == stream[start:stop]
 
 
+def test_skipping_soups_leaves_the_state_that_drawing_them_leaves(monkeypatch):
+    made = []
+    Random = random.Random
+
+    class Recorded(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    for size in range(21):
+        for start in range(6):
+            # no soup is yielded, so the generator's state is the skip's alone
+            assert list(life.seeded_soups(size * 7 + start, start, start, size, 0.5)) == []
+            [skipped] = made
+            del made[:]
+            drawn = Random(size * 7 + start)
+            for _ in range(start * size * size):
+                drawn.random()
+            assert skipped.getstate() == drawn.getstate()
+
+
 def test_parse_blinker():
     assert parse_rle(BLINKER_RLE) == BLINKER
 

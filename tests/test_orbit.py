@@ -1,13 +1,12 @@
-import inspect
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit import cycles, life, orbit
-from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_step
+from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_walk
 from orbitkit.lifepoly import build_gol_map, cantor_pairing, encode, quadrant_safe
 from orbitkit.orbit import (
     Stable,
@@ -130,9 +129,9 @@ small_points = st.dictionaries(
 def check_against_reference(gens, x, max_points, max_depth):
     expected, points, _ = reference_closure(gens, x, max_points, max_depth)
     assert orbit_closure(gens, x, max_points, max_depth) == expected
-    verdict, keys = orbit._explore(gens, x, max_points, max_depth)
+    verdict, keys, point = orbit._explore(gens, x, max_points, max_depth)
     assert verdict == expected
-    assert {SparsePoint._from_key(key) for key in keys} == points
+    assert {point(key) for key in keys} == points
     orbit_set = enumerate_orbit(gens, x, max_points, max_depth)
     assert orbit_set == (frozenset(points) if isinstance(expected, Stable) else None)
     return expected
@@ -191,40 +190,54 @@ def test_move_only_closures_match_the_point_storing_reference(gens, x, max_point
     check_against_reference(gens, x, 200, 30)
 
 
-@given(move_maps(), st.lists(edge_points, min_size=1, max_size=6))
-def test_key_mover_matches_apply(g, points):
-    # later points share the start's layout object when their layout equals it
-    start = points[0]._key()
-    step = _key_step(g, start)
-    for p in points * 2:
-        assert step(p._key(start[0])) == g.apply(p)._key()
+def check_steps(gens, x):
+    """Each step of the walk from ``x`` sends every key of a bounded closure to
+    the key of the image that ``apply`` makes, and distinct keys decode to
+    distinct points.  Returns the walk's start key."""
+    _, keys, point = orbit._explore(gens, x, 200, 30)
+    start, steps, _ = _key_walk(gens, x)
+    assert start in keys and point(start) == x
+    assert len({point(key) for key in keys}) == len(keys)
+    for g, step in zip(gens, steps):
+        for key in keys:
+            assert point(step(key)) == g.apply(point(key))
+    return start
+
+
+@given(move_maps(), edge_points)
+def test_key_mover_matches_apply(g, x):
+    check_steps([g], x)
 
 
 def test_key_mover_on_empty_and_one_coordinate_keys():
     swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
-    empty = _key_step(swap, ((),))
-    assert empty(((),)) == ((),)
-    assert empty(((0,), 5)) == ((1,), 5)
-    assert empty(((1,), 5)) == ((0,), 5)
-    layout = (0, 1)
-    image = empty((layout, 5, 7))
-    assert image == ((0, 1), 7, 5)
+    # walks from fewer than two coordinates key points as tuples and apply
+    start, [step], point = _key_walk([swap], SparsePoint())
+    assert start == step(start) == ((),) and point(start) == SparsePoint()
+    start, [step], point = _key_walk([swap], SparsePoint({0: 5}))
+    assert start == ((0,), 5) and step(start) == ((1,), 5) and step(((1,), 5)) == start
+    start, [step], _ = _key_walk([FiniteComponentMap({0: -variable(0)})], SparsePoint({0: 5}))
+    image = step(start)
     # an unchanged layout is handed out as the source's own object
-    assert image[0] is layout
-    start = (layout, 5, 7)
-    image = _key_step(swap, start)(start)
-    assert image == ((0, 1), 7, 5) and image[0] is layout
-    assert _key_step(FiniteComponentMap({0: variable(6)}), ((0,), 5))(((0,), 5)) == ((),)
-    key = ((2,), 4)
-    assert _key_step(FiniteComponentMap({0: -3 * variable(2)}), key)(key) == ((0, 2), -12, 4)
+    assert image == ((0,), -5) and image[0] is start[0]
+    start, [step], _ = _key_walk([FiniteComponentMap({0: variable(6)})], SparsePoint({0: 5}))
+    assert step(start) == ((),)
+    start, [step], _ = _key_walk([FiniteComponentMap({0: -3 * variable(2)})], SparsePoint({2: 4}))
+    assert step(start) == ((0, 2), -12, 4)
+    # from two coordinates a swap steps a code, one byte 2*k + sign per slot
+    start, [step], point = _key_walk([swap], SparsePoint({0: 5, 1: 7}))
+    assert start == bytes([0, 2]) and step(start) == bytes([2, 0])
+    assert point(step(start)) == SparsePoint({0: 7, 1: 5}) and step(step(start)) == start
 
 
 def test_a_general_component_has_no_key_mover(monkeypatch):
-    start = SparsePoint({0: 1})._key()
+    x = SparsePoint({0: 1, 2: 3})
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
-    for g, image in ((FiniteComponentMap({0: variable(0) + 1, 1: variable(0)}), {0: 2, 1: 1}),
-                     (FiniteComponentMap({0: constant(0)}), {})):
-        assert _key_step(g, start)(start) == SparsePoint(image)._key()
+    for g, image in ((FiniteComponentMap({0: variable(0) + 1, 1: variable(0)}), {0: 2, 1: 1, 2: 3}),
+                     (FiniteComponentMap({0: constant(0)}), {2: 3})):
+        start, [step], _ = _key_walk([g], x)
+        assert start == x._key()
+        assert step(start) == SparsePoint(image)._key()
     assert calls == ["apply"] * 2
 
 
@@ -250,37 +263,48 @@ def test_scaled_and_layout_changing_moves_step_through_apply(monkeypatch, compon
     assert is_stable_singleton(g, x, 12) == expected
     assert len(calls) == 2 * applies > 0
     check_against_reference([g], x, 30, 6)
-    # mixed with a flip that steps the start's layout without apply
+    # mixed with a sign flip, which then takes apply too
     check_against_reference([g, FiniteComponentMap({2: -variable(2)})], x, 30, 6)
 
 
-def test_a_layout_equal_to_the_start_in_another_tuple_takes_apply(monkeypatch):
-    swap = FiniteComponentMap({0: variable(1), 1: -variable(0)})
-    start = SparsePoint({0: 5, 1: 7})._key()
+def hyperoctahedral(n, base=0):
+    """B_n acting on coordinates 0 to n - 1 of a point holding base + 1 to
+    base + n + 2 on coordinates 0 to n + 1, generated by a swap, an n-cycle and
+    a sign flip.  The action is free, so the orbit has 2^n * n! points."""
+    x = SparsePoint({c: base + c + 1 for c in range(n + 2)})
+    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
+    cycle = FiniteComponentMap({i: variable((i + 1) % n) for i in range(n)})
+    flip = FiniteComponentMap({0: -variable(0)})
+    return [swap, cycle, flip], x
+
+
+def test_a_mixed_generator_set_applies_every_generator(monkeypatch):
+    # a swap of coordinate 6 with the absent 7 moves 6 out of the start's layout
+    # and back, so the B_5 generators beside it take apply too: 7,680 points
+    gens, x = hyperoctahedral(5)
+    gens.append(FiniteComponentMap({6: variable(7), 7: variable(6)}))
+    assert _key_walk(gens, x)[0] == x._key()
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
-    step = _key_step(swap, start)
-    assert step(start) == ((0, 1), 7, -5)
-    assert calls == []
-    key = (tuple([0, 1]), 3, 4)
-    assert key[0] == start[0] and key[0] is not start[0]
-    assert step(key) == swap.apply(SparsePoint({0: 3, 1: 4}))._key() == ((0, 1), 4, -3)
-    assert calls == ["apply"] * 2
+    assert orbit_closure(gens, x, 100_000, 10_000) == Stable(7680)
+    assert len(calls) == 4 * 7680
 
 
 def test_sign_flips_hand_out_the_start_values():
-    v = 2**100 + 1
-    start = SparsePoint({0: v, 1: -v, 2: v})._key()
-    flip = _key_step(FiniteComponentMap({0: -variable(0), 1: -variable(1)}), start)
-    image = flip(start)
-    assert image == SparsePoint({0: -v, 1: v, 2: v})._key()
-    assert image[0] is start[0]
+    v, w = 2**100 + 1, 2**200 + 1
+    x = SparsePoint({0: v, 1: -v, 2: v, 3: w})
+    flip = FiniteComponentMap({0: -variable(0), 1: -variable(1), 3: -variable(3)})
+    start, [step], point = _key_walk([flip], x)
+    # v and -v are one magnitude, so a repeated v and a -v share its two codes
+    assert start == bytes([0, 1, 0, 2])
+    y = point(step(start))
+    assert y == SparsePoint({0: -v, 1: v, 2: v, 3: -w})
     # v and -v were both in the start: each flips to the other's object
-    assert image[1] is start[2] and image[2] is start[1]
-    # a value the start lacks is negated as a new int
-    assert flip((start[0], 5 * v, 3, v))[1:] == (-5 * v, -3, v)
+    assert y[0] is x[1] and y[1] is x[0]
+    # -w, which the start lacks, is one int made once for the whole walk
+    assert point(step(start))[3] is y[3]
 
 
-# signed values that the negation table must handle: the start holds v and -v
+# signed values that the codes must tell apart: the start holds v and -v
 # and repeats a value; large bases, so that a negation allocates a new int
 @st.composite
 def signed_points(draw):
@@ -302,43 +326,73 @@ flip_maps = st.dictionaries(st.sampled_from(COORDS), flip_components, min_size=1
 
 
 @given(st.lists(flip_maps, min_size=1, max_size=3), signed_points(), st.integers(1, 40))
-def test_the_negation_table_matches_apply_and_the_reference(gens, x, max_points):
+def test_signed_codes_match_apply_and_the_reference(gens, x, max_points):
     check_against_reference(gens, x, max_points, 8)
     check_against_reference(gens, x, 200, 30)
-    _, keys = orbit._explore(gens, x, 200, 30)
-    # the walk's own start key, whose layout object the keys of its layout share
-    start = next(key for key in keys if key == x._key())
-    steps = [_key_step(g, start) for g in gens]
-    for g, step in zip(gens, steps):
-        for key in keys:
-            assert step(key) == g.apply(SparsePoint._from_key(key))._key()
-    tables = [inspect.getclosurevars(step).nonlocals.get("negate") for step in steps]
-    for g, table in zip(gens, tables):
-        if any(abs(coeff) > 1 for poly in g.components.values() for coeff in poly.terms.values()):
-            # a scaled map takes apply, which has no table
-            assert table is None
-        elif table is not None:
-            # built once from the start's values and never grown
-            assert len(table) <= 2 * len(x)
-    if None not in tables:
-        # only the start's values and one negation of each ever appear
-        assert len({id(v) for key in keys for v in key[1:]}) <= 2 * len(x)
+    start = check_steps(gens, x)
+    if any(abs(coeff) > 1 for g in gens for poly in g.components.values()
+           for coeff in poly.terms.values()):
+        # a scaled map takes apply, and so does every map beside it
+        assert start == x._key()
+    elif type(start) is bytes:
+        assert len(start) == len(x)
+        orbit_set = enumerate_orbit(gens, x, 200, 30)
+        if orbit_set is not None:
+            # decoded points hold only the start's values and one negation of each
+            assert len({id(v) for p in orbit_set for _, v in p.items()}) <= 2 * len(x)
 
 
-def small_b5(base=0):
-    """B_5 acting on coordinates 0-4 of a point holding base + 1 to base + 7 on
-    coordinates 0-6, generated by a swap, a 5-cycle and a sign flip.  The action
-    is free, so the orbit has 2^5 * 5! = 3840 points."""
-    x = SparsePoint({c: base + c + 1 for c in range(7)})
-    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
-    cycle = FiniteComponentMap({i: variable((i + 1) % 5) for i in range(5)})
-    flip = FiniteComponentMap({0: -variable(0)})
-    return [swap, cycle, flip], x
+# starts for walks under signed permutations: magnitudes repeated or held with
+# both signs, big values, and in one draw of three the empty point, one
+# coordinate, or 128 and 129 distinct magnitudes on either side of what one
+# byte per slot can code
+EDGE_STARTS = (SparsePoint(), SparsePoint({3: -2**70}), SparsePoint({0: 3}),
+               *(SparsePoint({c: (-1) ** c * (c + 1) for c in range(n)}) for n in (128, 129)))
+signed_starts = st.one_of(
+    signed_points(),
+    st.dictionaries(st.integers(0, 5), st.sampled_from((-2, -1, 1, 2)), min_size=2,
+                    max_size=6).map(SparsePoint),
+    st.sampled_from(EDGE_STARTS),
+)
 
 
-def test_closure_stores_a_point_in_under_320_bytes():
-    # the keys take about 140 bytes a point here, SparsePoint objects in a set about 470
-    gens, x = small_b5()
+@st.composite
+def signed_permutation_walks(draw):
+    """A start and one to three maps, each a signed cycle of a few of the
+    start's coordinates and one of a few coordinates outside them."""
+    x = draw(signed_starts)
+    inside = sorted(x.support())
+    outside = [c for c in range(8) if c not in x.support()]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = {}
+        for block in (inside, outside):
+            moved = draw(st.lists(st.sampled_from(block), unique=True, max_size=4)) if block else []
+            for c, j in zip(moved, moved[1:] + moved[:1]):
+                table[c] = draw(st.sampled_from((1, -1))) * variable(j)
+        gens.append(FiniteComponentMap(table))
+    return gens, x
+
+
+@settings(max_examples=200)
+@given(signed_permutation_walks(), st.integers(1, 200), st.integers(1, 12))
+def test_signed_permutation_walks_match_the_point_storing_references(walk, max_points, budget):
+    gens, x = walk
+    start = _key_walk(gens, x)[0]
+    magnitudes = {abs(v) for _, v in x.items()}
+    # every map keeps the start's layout, so only the start picks the keys
+    assert (type(start) is bytes) == (len(x) > 1 and len(magnitudes) <= 128)
+    check_against_reference(gens, x, max_points, 30)
+    check_against_reference(gens, x, 200, 30)
+    check_steps(gens, x)
+    for g in gens:
+        assert is_stable_singleton(g, x, budget) == reference_singleton(g, x, budget)
+
+
+def test_closure_stores_a_point_in_under_90_bytes():
+    # the codes take about 75 bytes a point here, key tuples took about 140,
+    # SparsePoint objects in a set about 470
+    gens, x = hyperoctahedral(5)
     tracemalloc.start()
     try:
         verdict = orbit_closure(gens, x, 100_000, 10_000)
@@ -346,12 +400,12 @@ def test_closure_stores_a_point_in_under_320_bytes():
     finally:
         tracemalloc.stop()
     assert verdict == Stable(3840)
-    assert peak / 3840 < 320
+    assert peak / 3840 < 90
 
 
 def test_big_valued_closure_shares_one_layout_and_the_start_values():
     # values of 101 bits, so a negation is a new int, not a cached small one
-    gens, x = small_b5(2**100)
+    gens, x = hyperoctahedral(5, 2**100)
     tracemalloc.start()
     try:
         verdict = orbit_closure(gens, x, 100_000, 10_000)
@@ -359,31 +413,48 @@ def test_big_valued_closure_shares_one_layout_and_the_start_values():
     finally:
         tracemalloc.stop()
     assert verdict == Stable(3840)
-    # about 140 bytes a point, where 16-slot flat keys and a new int per flip took 210
-    assert peak / 3840 < 170
-    _, keys = orbit._explore(gens, x, 100_000, 10_000)
-    assert len(keys) == 3840
-    assert len({id(key[0]) for key in keys}) == 1
-    assert next(iter(keys))[0] == tuple(range(7))
-    assert len({id(v) for key in keys for v in key[1:]}) <= 2 * 7
+    # about 75 bytes a point, where key tuples took 140 and flat keys 210
+    assert peak / 3840 < 90
+    # a key holds neither the layout nor a value: one byte a slot
+    _, keys, point = orbit._explore(gens, x, 100_000, 10_000)
+    assert len(keys) == 3840 and {type(key) for key in keys} == {bytes}
+    assert {len(key) for key in keys} == {7}
+    orbit_set = frozenset(map(point, keys))
+    assert len(orbit_set) == 3840
+    assert {p.support() for p in orbit_set} == {frozenset(range(7))}
+    assert len({id(v) for p in orbit_set for _, v in p.items()}) <= 2 * 7
+
+
+def test_b6_closure_peaks_under_4_5_mib():
+    # the largest orbit a benchmark workload stores: 46,080 points of 8
+    # coordinates holding 320-bit values
+    gens, x = hyperoctahedral(6, 2**319)
+    tracemalloc.start()
+    try:
+        verdict = orbit_closure(gens, x, 100_000, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == Stable(46080)
+    assert peak <= 4.5 * 2**20
 
 
 def test_closure_never_hashes_or_compares_points(monkeypatch):
     calls = count_calls(monkeypatch, SparsePoint, "__hash__", "__eq__")
-    gens, x = small_b5()
+    gens, x = hyperoctahedral(5)
     assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
     assert calls == []
 
 
 def test_move_only_closure_never_applies_a_map(monkeypatch):
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
-    gens, x = small_b5()
+    gens, x = hyperoctahedral(5)
     assert orbit_closure(gens, x, 100_000, 10_000) == Stable(3840)
     assert calls == []
 
 
 def test_move_only_singleton_walk_never_applies_hashes_or_compares_points(monkeypatch):
-    [_, cycle, _], x = small_b5()
+    [_, cycle, _], x = hyperoctahedral(5)
     expected = reference_singleton(cycle, x, 100)
     assert expected == Stable(5, (0, 5))
     applies = count_calls(monkeypatch, FiniteComponentMap, "apply")
@@ -405,13 +476,18 @@ def test_singleton_walk_matches_the_point_storing_reference(f, x, budget):
 
 def test_a_general_component_is_applied_once_per_frontier_point(monkeypatch):
     # x0 grows by x1^2 = 4 and x1 flips sign: two new points per level, so a
-    # depth limit of 4 expands the start and the points of levels 1 to 3
+    # depth limit of 4 expands the start and the points of levels 1 to 3; the
+    # flip beside a general map applies too, one apply per generator and point
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
     flip = FiniteComponentMap({1: -variable(1)})
     grow = FiniteComponentMap({0: variable(0) + variable(1) ** 2})
-    verdict = orbit_closure([flip, grow], SparsePoint({0: 1, 1: 2}), 100, 4)
-    assert verdict == Unknown(points_explored=9, budget_hit="max_depth")
-    assert calls == ["apply"] * 7
+    x = SparsePoint({0: 1, 1: 2})
+    expected = reference_closure([flip, grow], x, 100, 4)[0]
+    assert expected == Unknown(points_explored=9, budget_hit="max_depth")
+    assert len(calls) == 2 * 7
+    del calls[:]
+    assert orbit_closure([flip, grow], x, 100, 4) == expected
+    assert calls == ["apply"] * 2 * 7
 
 
 def test_orbit_always_contains_the_start_point():
