@@ -13,19 +13,21 @@ Two map families describe every self-map the toolkit needs:
   images finitely supported and is checked at construction.  On 0/1
   points the rule takes only 512 inputs, so construction compiles it to
   a 512-entry table, and the table to one decision diagram per nonzero
-  value.  A 0/1 point whose bounding box is dense is packed into one int
-  and runs the diagrams on whole boards at once; a sparse one reads the
-  table through 9-bit neighborhood masks, cell by cell.  Points holding
-  any other value are evaluated with the polynomial itself.  This module
-  owns the mask convention (bit i stands for x_i) and
-  :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs to
-  expand pattern sets into rules.
+  value.  A 0/1 point whose bounding box is dense is packed into one int,
+  a board, and one kernel runs the diagrams on the whole board at once; a
+  sparse one reads the table through 9-bit neighborhood masks, cell by
+  cell.  Points holding any other value are evaluated with the polynomial
+  itself.  This module owns the mask convention (bit i stands for x_i)
+  and :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs
+  to expand pattern sets into rules.
 
 The walks in :mod:`orbitkit.orbit` keep points as keys and step them
-through :func:`_key_walk`, one function per generator: byte codes of the
-start's values when every generator is a signed permutation that keeps
-the start's layout, else :meth:`SparsePoint._key` tuples stepped by
-``apply``.
+through :func:`_key_walk`, one function per generator, in one of three
+key kinds: byte codes of the start's values when every generator is a
+signed permutation that keeps the start's layout; boards, stepped by the
+kernel without building a point, when every generator is a 0/1 grid rule
+and the point is a dense 0/1 point; else :meth:`SparsePoint._key` tuples
+stepped by ``apply``.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -238,10 +240,11 @@ class FiniteComponentMap:
         for coord, poly in components.items():
             if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
                 raise ValueError(f"component coordinate must be a natural number, got {coord!r}")
-            if isinstance(poly, int):
+            if isinstance(poly, int) and not isinstance(poly, bool):
                 poly = constant(poly)
             if not isinstance(poly, Polynomial):
-                raise ValueError(f"component for coordinate {coord} must be a Polynomial")
+                raise ValueError(f"component for coordinate {coord} must be a Polynomial "
+                                 f"or an int, got {poly!r}")
             table[coord] = poly
         self._components = table
 
@@ -286,6 +289,9 @@ def subset_transform(entries: Iterable[tuple[int, int]], sign: int) -> list[int]
 # A 0/1 point is packed when the packed int has at most this many bits per live
 # cell, about where the packed and the per-cell path cost the same.
 _PACKED_BITS_PER_CELL = 256
+# A walk keys a 0/1 point by its board while the board holds at most this many
+# bits per live cell, the figure life.step packs at.
+_BOARD_BITS_PER_CELL = 1024
 
 
 def _diagram(truth) -> tuple:
@@ -315,6 +321,35 @@ def _diagram(truth) -> tuple:
     return tuple(nodes)
 
 
+def _pack(cells, a0, b0, stride, height) -> int:
+    """The board of ``cells``: cell (a, b) at bit ``(b - b0) * stride + a - a0``."""
+    low = b0 * stride + a0
+    packed = bytearray(height * stride // 8 + 1)
+    for a, b in cells:
+        p = b * stride + a - low
+        packed[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(packed, "little")
+
+
+def _unpack(roots, stride, a0, b0, forward) -> dict:
+    """The entries of the point holding ``value`` at each cell of ``board``, for
+    each ``(value, board)`` of ``roots``: bit ``b * stride + a`` of a natural
+    board stands for cell (a0 + a, b0 + b), and cells at a negative coordinate
+    are left out."""
+    out: dict[int, int] = {}
+    for value, board in roots:
+        bits = bin(board)[:1:-1]  # bit p at bits[p]
+        p = bits.find("1")
+        while p != -1:
+            b, a = divmod(p, stride)
+            a += a0
+            b += b0
+            if a >= 0 and b >= 0:
+                out[forward(a, b)] = value
+            p = bits.find("1", p + 1)
+    return out
+
+
 class GridRuleMap:
     """Shift-invariant local rule lifted to the coordinate axis via a pairing.
 
@@ -336,10 +371,10 @@ class GridRuleMap:
     a two-cell margin) with the number of live cells:
 
     * *packed*, for a dense box: the live cells become the bits of one
-      int at a fixed row stride, the nine neighbor boards are shifts of
-      it, and each diagram is evaluated once for the whole board, a node
-      as ``(X & hi) | (~X & lo)``; the set bits of its root are the cells
-      that map to v.
+      int, a board, at a fixed row stride, and :meth:`_kernel` evaluates
+      each diagram once for the whole board; the set bits of its root are
+      the cells that map to v.  :func:`_key_walk` steps dense points of a
+      walk through the same kernel, without building a point.
     * *per cell*, for a sparse box: each live cell ORs its bit into the
       9-bit mask of every cell in its 3x3 block, and a cell's image is
       ``table[mask]``.  Memory stays in proportion to the live cells, so
@@ -378,7 +413,9 @@ class GridRuleMap:
             a0, b0 = min(xs), min(ys)
             width, height = max(xs) - a0 + 1, max(ys) - b0 + 1
             if (width + 4) * (height + 4) <= _PACKED_BITS_PER_CELL * len(cells):
-                return self._apply_packed(cells, a0, b0, width, height)
+                stride = width + 2
+                roots = self._kernel(_pack(cells, a0, b0, stride, height), stride)
+                return SparsePoint._raw(_unpack(roots, stride, a0 - 1, b0 - 1, forward))
         masks: dict[tuple[int, int], int] = {}
         get = masks.get
         for a, b in cells:
@@ -403,39 +440,26 @@ class GridRuleMap:
                         out[forward(a, b)] = v
         return SparsePoint._raw(out)
 
-    def _apply_packed(self, cells, a0: int, b0: int, width: int, height: int) -> SparsePoint:
-        forward = self._pairing.forward
-        stride = width + 4
-        # cell (a, b) is bit (b - b0 + 2) * stride + (a - a0 + 2): two empty rows and
-        # columns on every side, so every cell next to the box reads its whole 3x3
-        # block from its own row and the rows above and below
-        low = (b0 - 2) * stride + a0 - 2
-        packed = bytearray((height + 2) * stride // 8 + 1)
-        for a, b in cells:
-            p = b * stride + a - low
-            packed[p >> 3] |= 1 << (p & 7)
-        board = int.from_bytes(packed, "little")
+    def _kernel(self, board, stride):
+        """Yield each nonzero table value with the board of the cells that map to it.
+
+        ``board`` holds cell (a, b) of a box at bit ``b * stride + a``, with at
+        least two dead columns at the end of every row, so no shift by one
+        column carries a cell into the next row.  Bit ``b * stride + a`` of a
+        returned board stands for cell (a - 1, b - 1): the box grown by one
+        cell on every side, where every cell that can come alive lies.  The
+        nine neighbor boards are shifts of ``board`` and a diagram node is
+        ``lo ^ (X & (hi ^ lo))``, three int operations."""
         # boards[i] has the bit of each cell set when its neighbor x_i is live
-        boards = [board >> s if s >= 0 else board << -s
-                  for s in (db * stride + da for da, db in _OFFSETS9)]
-        out: dict[int, int] = {}
+        boards = [board << stride + 1 - db * stride - da for da, db in _OFFSETS9]
         for value, diagram in self._diagrams:
             # true is -1, every bit set; the rule sends an all-dead 3x3 block to 0,
-            # so the root's board is a natural int within the box dilated by 1
+            # so the root's board is a natural int within the grown box
             node = [0, -1]
             for var, lo, hi in diagram:
-                on = boards[var]
-                node.append((on & node[hi]) | (~on & node[lo]))
-            bits = bin(node[-1])[:1:-1]  # bit p at bits[p]
-            p = bits.find("1")
-            while p != -1:
-                b, a = divmod(p, stride)
-                a += a0 - 2
-                b += b0 - 2
-                if a >= 0 and b >= 0:
-                    out[forward(a, b)] = value
-                p = bits.find("1", p + 1)
-        return SparsePoint._raw(out)
+                lo = node[lo]
+                node.append(lo ^ (boards[var] & (node[hi] ^ lo)))
+            yield value, node[-1]
 
     def __repr__(self) -> str:
         return f"<GridRuleMap pairing={self._pairing.name} rule_terms={len(self._rule.terms)}>"
@@ -468,21 +492,116 @@ def _signed_permutation(g: PolyMapDesc, slot: dict) -> Union[list, None]:
     return source
 
 
+def _restride(board, stride, new, height) -> int:
+    """``board`` of ``height`` rows moved from one row stride to another, both
+    multiples of 8 and wider than every row's live cells."""
+    n, m = stride >> 3, new >> 3
+    rows = board.to_bytes(n * height, "little")
+    return int.from_bytes(
+        b"".join(rows[i:i + n][:m].ljust(m, b"\0") for i in range(0, n * height, n)), "little")
+
+
+def _board_walk(generators, x) -> tuple:
+    """:func:`_key_walk`'s boards, for :class:`GridRuleMap` generators of one
+    pairing whose tables take only 0 and 1, from a nonempty 0/1 point."""
+    pairing = generators[0]._pairing
+    empty = SparsePoint()._key()
+
+    def keyed(y, layout=()):
+        cells = list(map(pairing.inverse, y._entries))
+        if cells:
+            xs, ys = zip(*cells)
+            x0, y0 = min(xs), min(ys)
+            stride = max(xs) - x0 + 18 & -16  # width + 2, rounded up to 16
+            height = max(ys) - y0 + 1
+            if stride * height <= _BOARD_BITS_PER_CELL * len(cells):
+                return x0, y0, stride, _pack(cells, x0, y0, stride, height)
+        return y._key(layout)
+
+    def point(key):
+        if type(key[0]) is tuple:
+            return SparsePoint._from_key(key)
+        x0, y0, stride, board = key
+        return SparsePoint._raw(_unpack([(1, board)], stride, x0, y0, pairing.forward))
+
+    def walker(g):
+        apply, kernel = g.apply, g._kernel
+
+        def step(key):
+            if type(key[0]) is tuple:
+                return keyed(apply(SparsePoint._from_key(key)), key[0])
+            x0, y0, stride, board = key
+            [(_, board)] = kernel(board, stride)
+            # the kernel's board starts at (x0 - 1, y0 - 1); clear what lies at
+            # a negative coordinate, as apply does
+            if not y0:
+                board >>= stride
+                y0 = 1
+            if not x0:
+                rows = board.bit_length() // stride + 1
+                board &= ~((1 << stride * rows) // ((1 << stride) - 1))
+            if not board:
+                return empty
+            # the tight box: its rows from the lowest and highest bits, its
+            # columns from the OR of all rows, folded in halves
+            rows = (board.bit_length() - 1) // stride + 1
+            top = ((board & -board).bit_length() - 1) // stride
+            height, fold = rows - top, board
+            while rows > 1:
+                rows = rows + 1 >> 1
+                half = rows * stride
+                fold = fold >> half | fold & (1 << half) - 1
+            left = (fold & -fold).bit_length() - 1
+            board >>= top * stride + left
+            new = fold.bit_length() - left + 17 & -16
+            if new != stride:
+                board = _restride(board, stride, new, height)
+            key = x0 - 1 + left, y0 - 1 + top, new, board
+            if new * height > _BOARD_BITS_PER_CELL * board.bit_count():
+                return point(key)._key()
+            return key
+
+        return step
+
+    return keyed(x), [walker(g) for g in generators], point
+
+
 def _key_walk(generators: list, x: SparsePoint) -> tuple:
     """The start key of a walk from ``x``, one step per generator from a key to
-    its image's key, and the function from a key back to its point.
+    its image's key, and the function from a key back to its point.  Keys come
+    in three kinds; equal points always get equal keys.
 
-    When every generator is a :func:`_signed_permutation` of ``x``'s slots and
-    ``x`` has at least two coordinates and at most 128 distinct absolute
-    values, every point of the orbit is ``x``'s values moved and sign-flipped
-    within its layout.  A key is then a ``bytes`` code of one entry ``2*k + s``
-    per slot, ``k`` indexing ``x``'s distinct absolute values and ``s`` the
-    sign, so equal points get equal codes; a step gathers the image from
-    ``code + code.translate(flip)``, ``flip`` toggling bit 0.
-
-    Every other walk keys points with :meth:`SparsePoint._key` and steps a key
-    by applying the generator to the point rebuilt from it, keying the image
-    with the source's layout object, shared when the layout is unchanged."""
+    * *Codes.*  When every generator is a :func:`_signed_permutation` of
+      ``x``'s slots and ``x`` has at least two coordinates and at most 128
+      distinct absolute values, every point of the orbit is ``x``'s values
+      moved and sign-flipped within its layout.  A key is then a ``bytes``
+      code of one entry ``2*k + s`` per slot, ``k`` indexing ``x``'s distinct
+      absolute values and ``s`` the sign; a step gathers the image from
+      ``code + code.translate(flip)``, ``flip`` toggling bit 0.  A code costs
+      33 bytes plus one per coordinate.
+    * *Boards.*  When every generator is a :class:`GridRuleMap` of one pairing
+      whose table takes only 0 and 1, and ``x`` is a nonempty 0/1 point, every
+      point of the orbit is a 0/1 point.  A point whose board holds at most
+      ``_BOARD_BITS_PER_CELL`` (1,024) bits per live cell is keyed
+      ``(x0, y0, stride, board)``: ``(x0, y0)`` is the corner of its cells'
+      tight bounding box, cell (a, b) is bit ``(b - y0) * stride + a - x0``
+      of ``board``, and ``stride`` is the box width plus 2, rounded up to a
+      multiple of 16.  A step runs :meth:`GridRuleMap._kernel` on the board,
+      clears the cells at a negative coordinate, finds the new box by
+      folding the rows in halves, and re-frames the board: one shift when
+      the stride is unchanged.  A board costs 4 bytes per 30 bits, so a key
+      at the limit costs up to about 2.9 times the tuple key of its point.
+      Any other point of such a walk, sparse or empty, keeps a tuple key and
+      steps through ``apply``; the kind depends on the point alone.
+    * *Tuples.*  Every other walk keys points with :meth:`SparsePoint._key`
+      and steps a key by applying the generator to the point rebuilt from it,
+      keying the image with the source's layout object, shared when the
+      layout is unchanged.  A point of a Life walk costs about 44 bytes per
+      live cell this way, mostly its coordinate ints."""
+    if x and set(x._entries.values()) == {1} and all(
+            isinstance(g, GridRuleMap) and g._pairing == generators[0]._pairing
+            and set(g._table) == {0, 1} for g in generators):
+        return _board_walk(generators, x)
     start = x._key()
     layout = start[0]
     slot = {coord: i for i, coord in enumerate(layout)}

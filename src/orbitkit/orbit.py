@@ -23,11 +23,21 @@ compare of the key.
   of n coordinates costs a bytes object of 33 + n bytes and its set
   slot: about 75 to 90 bytes for 7 or 8 coordinates, measured with
   ``tracemalloc``, whatever the size of its values.
+* When every generator is a :class:`~orbitkit.dynamics.GridRuleMap` of
+  one pairing whose table takes only 0 and 1, such as the Life rule, and
+  the start is a nonempty 0/1 point, a point whose bounding box holds at
+  most 1,024 bits per live cell is keyed by its board, ``(x0, y0, stride,
+  board)``, and a step runs the rule's decision diagrams on the whole
+  board, with no pairing and no point built.  A board costs 4 bytes per
+  30 bits of its box, so a key at that limit costs up to about 2.9 times
+  the tuple key below.  A sparser point, or the empty one, keeps its
+  tuple key and steps through ``apply``.
 * Every other walk keys a point as a tuple of its layout (the sorted
   coordinates, as one tuple) and its values in the same order, and steps
   a key by ``apply`` on the point rebuilt from it.  Keys of one layout
   share one layout object, so such a key costs a tuple of 48 + 8n bytes,
-  its set slot, and the values it shares with no other point.
+  its set slot, and the values it shares with no other point: about 44
+  bytes per live cell on a Life walk.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
@@ -155,7 +165,8 @@ def enumerate_orbit(
     key-to-point function, so the returned set of :class:`SparsePoint`
     objects, about 430 bytes a point for 7 or 8 coordinates, costs about
     five times what a closure of codes held.  Decoded values are the
-    start's own ints and one negation of each, shared by every point.
+    start's own ints and one negation of each, shared by every point.  A
+    board decodes to a point with one pairing per live cell.
     """
     verdict, visited, point = _explore(generators, x, max_points, max_depth)
     if isinstance(verdict, Stable):

@@ -58,7 +58,7 @@ def _normalize_monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
     for var, exp in pairs:
         if not isinstance(var, int) or isinstance(var, bool) or var < 0:
             raise ValueError(f"variable index must be a natural number, got {var!r}")
-        if not isinstance(exp, int) or exp < 0:
+        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
         if exp:
             merged[var] = merged.get(var, 0) + exp
@@ -92,7 +92,7 @@ class Polynomial:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                if not isinstance(coeff, int):
+                if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise ValueError(f"coefficient must be an integer, got {coeff!r}")
                 key = _normalize_monomial(mono)
                 c = data.get(key, 0) + coeff
@@ -161,7 +161,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
         result = constant(1)
         base = self
@@ -254,7 +254,7 @@ def _coerce(value):
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, int):
-        return constant(value)
+        return constant(int(value))  # a bool operand reads as its int
     return NotImplemented
 
 

@@ -91,6 +91,12 @@ def test_component_map_rejects_a_component_that_is_no_polynomial():
         FiniteComponentMap({0: "x0"})
 
 
+def test_component_map_rejects_a_bool_component():
+    # True would otherwise be taken as the constant 1
+    with pytest.raises(ValueError, match="must be a Polynomial or an int, got True"):
+        FiniteComponentMap({0: True})
+
+
 def test_an_int_component_is_a_constant():
     # 3 sets coordinate 0 and 0 deletes it, in apply and in both orbit walks
     sets, deletes = FiniteComponentMap({0: 3}), FiniteComponentMap({0: 0})

@@ -200,6 +200,25 @@ def test_construction_validates_inputs():
         Polynomial([(((True, 1),), 1)])
 
 
+def test_a_bool_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="coefficient must be an integer, got True"):
+        Polynomial([((), True)])
+
+
+def test_a_bool_exponent_is_rejected():
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer, got True"):
+        Polynomial([(((0, True),), 1)])
+    with pytest.raises(ValueError, match="exponent"):
+        variable(0) ** True
+
+
+def test_a_bool_operand_still_reads_as_its_int():
+    # arithmetic and comparison coerce a bool like Python's own ints do
+    assert variable(0) + True == variable(0) + 1
+    assert constant(1) == True  # noqa: E712
+    assert variable(0) * False == Polynomial()
+
+
 def test_equality_and_hash_are_value_based():
     p = variable(0) * 2 + 1
     q = 1 + variable(0) + variable(0)
