@@ -590,14 +590,15 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       clears the cells at a negative coordinate, finds the new box by
       folding the rows in halves, and re-frames the board: one shift when
       the stride is unchanged.  A board costs 4 bytes per 30 bits, so a key
-      at the limit costs up to about 2.9 times the tuple key of its point.
+      at the limit costs about 137 bytes per live cell, up to about 2.9
+      times the tuple key of its point.
       Any other point of such a walk, sparse or empty, keeps a tuple key and
       steps through ``apply``; the kind depends on the point alone.
     * *Tuples.*  Every other walk keys points with :meth:`SparsePoint._key`
       and steps a key by applying the generator to the point rebuilt from it,
       keying the image with the source's layout object, shared when the
-      layout is unchanged.  A point of a Life walk costs about 44 bytes per
-      live cell this way, mostly its coordinate ints."""
+      layout is unchanged.  A point of a Life walk costs about 44 to 48 bytes
+      per live cell this way, mostly its coordinate ints."""
     if x and set(x._entries.values()) == {1} and all(
             isinstance(g, GridRuleMap) and g._pairing == generators[0]._pairing
             and set(g._table) == {0, 1} for g in generators):

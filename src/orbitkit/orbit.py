@@ -29,15 +29,17 @@ compare of the key.
   most 1,024 bits per live cell is keyed by its board, ``(x0, y0, stride,
   board)``, and a step runs the rule's decision diagrams on the whole
   board, with no pairing and no point built.  A board costs 4 bytes per
-  30 bits of its box, so a key at that limit costs up to about 2.9 times
-  the tuple key below.  A sparser point, or the empty one, keeps its
-  tuple key and steps through ``apply``.
+  30 bits of its box, so a key at that limit costs about 137 bytes per
+  live cell, up to about 2.9 times the tuple key below; a singleton walk
+  stores every key it meets, so the limit bounds each key, not the walk.
+  A sparser point, or the empty one, keeps its tuple key and steps
+  through ``apply``.
 * Every other walk keys a point as a tuple of its layout (the sorted
   coordinates, as one tuple) and its values in the same order, and steps
   a key by ``apply`` on the point rebuilt from it.  Keys of one layout
   share one layout object, so such a key costs a tuple of 48 + 8n bytes,
   its set slot, and the values it shares with no other point: about 44
-  bytes per live cell on a Life walk.
+  to 48 bytes per live cell on a Life walk.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.
