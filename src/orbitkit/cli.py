@@ -21,12 +21,16 @@ stdout is the same whatever their number.  Every file argument accepts
 ``sha256=`` hashes its bytes.
 
 Exit codes: 0 = a verdict was produced (Unknown included); 1 = input
-error, any ``ValueError`` or ``OSError`` (every error class of the
-toolkit subclasses ``ValueError``), reported as ``error: ...`` on
-stderr; 2 = internal invariant violation, any ``RuntimeError``, reported
-as ``internal check failed: ...`` on stderr.  Each command reads and
-parses all of its input, and writes its ``--out`` file, before it prints
-its first line, so an input or output error prints nothing on stdout.
+error, any ``ValueError``, ``OSError`` or ``MemoryError`` (every error
+class of the toolkit subclasses ``ValueError``), reported as ``error:
+...`` on stderr; 2 = internal invariant violation, any ``RuntimeError``,
+reported as ``internal check failed: ...`` on stderr.  Each command
+returns its exit code and its report lines, and :func:`main` prints the
+lines only after the command has returned, so a command that fails, for
+any reason, prints nothing on stdout.  The one exception is the trace of
+``tm run``, which grows with the square of ``--budget``: it is printed
+as it is made, so its memory stays flat, and a failure partway leaves
+the lines before it.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ def parse_component_map(text: str) -> orbitkit.dynamics.FiniteComponentMap:
     return FiniteComponentMap(components)
 
 
-def cmd_life(args) -> int:
+def cmd_life(args) -> tuple:
     from . import life
 
     def summary(config) -> str:
@@ -162,7 +166,6 @@ def cmd_life(args) -> int:
 
     text, digest = _read_text(args.pattern)
     config = life.parse_rle(text)
-    # buffered, so an unwritable --out fails before the first line is printed
     lines = [f"command={args.command}", digest]
     current = config
     for k in range(1, args.steps + 1):
@@ -180,27 +183,22 @@ def cmd_life(args) -> int:
         lines.append(f"out={args.out}")
     else:
         lines.append(rle)
-    for line in lines:
-        print(line)
-    return 0
+    return 0, lines
 
 
-def cmd_poly_rule(args) -> int:
+def cmd_poly_rule(args) -> tuple:
     from . import lifepoly
 
     rule = lifepoly.build_local_rule()
-    patterns = lifepoly.life_patterns()
-    print("command=poly-rule")
     if args.expanded:
-        print(f"terms={len(rule.terms)}")
-        print(f"rule={rule.to_text()}")
+        lines = ["command=poly-rule", f"terms={len(rule.terms)}", f"rule={rule.to_text()}"]
     else:
-        print(f"summands={len(patterns)}")
-        print(f"rule={lifepoly.pattern_sum_text()}")
-    print("truth_table=ok")  # build_local_rule raises unless all 512 inputs agree
+        lines = ["command=poly-rule", f"summands={len(lifepoly.life_patterns())}",
+                 f"rule={lifepoly.pattern_sum_text()}"]
+    lines.append("truth_table=ok")  # build_local_rule raises unless all 512 inputs agree
     probe = (0, 1, 1, 1, 0, 0, 0, 0, 0)
-    print(f"probe={','.join(map(str, probe))} value={rule.evaluate(dict(enumerate(probe)))}")
-    return 0
+    lines.append(f"probe={','.join(map(str, probe))} value={rule.evaluate(dict(enumerate(probe)))}")
+    return 0, lines
 
 
 def _tape_str(config, m) -> str:
@@ -211,36 +209,39 @@ def _tape_str(config, m) -> str:
     return ",".join(row)
 
 
-def cmd_tm(args) -> int:
+def cmd_tm(args) -> tuple:
     from . import cycles, turing
 
     text, digest = _read_text(args.machine)
     m = turing.parse_tm(text)
     word = turing.parse_word(args.input, m)
-    print(f"command={args.command}")
-    print(digest)
+    lines = [f"command={args.command}", digest]
     if args.subcommand == "run":
-        for k, c in enumerate(turing.trajectory(m, word)):
-            if k > args.budget:
-                print(f"result=truncated steps={args.budget}")
-                break
-            print(f"step={k} state={c.state} head={c.head} tape={_tape_str(c, m)}")
-        else:  # the trajectory ended, so c is the halting configuration
+        # the trace grows with the square of --budget, so it is made as it is written
+        def trace():
+            yield from lines
+            for k, c in enumerate(turing.trajectory(m, word)):
+                if k > args.budget:
+                    yield f"result=truncated steps={args.budget}"
+                    return
+                yield f"step={k} state={c.state} head={c.head} tape={_tape_str(c, m)}"
+            # the trajectory ended, so c is the halting configuration
             verdict = "accept" if c.state == m.accept else "reject"
-            print(f"result=halted verdict={verdict} steps={k}")
-        return 0
+            yield f"result=halted verdict={verdict} steps={k}"
+
+        return 0, trace()
     detect = cycles.detect_brent if args.algorithm == "brent" else cycles.detect_hashset
     start = turing.initial_config(m, word)
     verdict = detect(turing.step_fn(m), start, args.budget)
     if args.halt_as_fixed_point and isinstance(verdict, cycles.Terminated):
         verdict = cycles.Periodic(verdict.steps, 1)
     flag = "true" if args.halt_as_fixed_point else "false"
-    print(f"algorithm={args.algorithm} budget={args.budget} halt_as_fixed_point={flag}")
-    print(cycles.report_line(verdict))
-    return 0
+    lines.append(f"algorithm={args.algorithm} budget={args.budget} halt_as_fixed_point={flag}")
+    lines.append(cycles.report_line(verdict))
+    return 0, lines
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple:
     from . import dynamics, orbit
 
     if args.point is not None and args.translate:
@@ -249,10 +250,9 @@ def cmd_orbit(args) -> int:
     if [source, *args.map].count("-") > 1:
         raise CliInputError("'-' (stdin) may be given only once")
     text, digest = _read_text(source)
-    head_lines = [f"command={args.command}", digest]
+    lines = [f"command={args.command}", digest]
     if args.point is not None:
         point = dynamics.parse_point(text)
-        extra_lines = []
     else:
         from . import life, lifepoly
 
@@ -260,7 +260,6 @@ def cmd_orbit(args) -> int:
         if args.translate:
             config = life.translate(config, args.translate[0], args.translate[1])
         safe = "true" if lifepoly.quadrant_safe(config) else "false"
-        extra_lines = [f"quadrant_safe={safe}"]
         point = lifepoly.encode(config)
     maps = []
     for spec in args.map:
@@ -270,19 +269,19 @@ def cmd_orbit(args) -> int:
             maps.append(lifepoly.build_gol_map())
         else:
             text, digest = _read_text(spec)
-            head_lines.append(digest)
+            lines.append(digest)
             maps.append(parse_component_map(text))
-    for line in head_lines + extra_lines:
-        print(line)
-    print(f"generators={len(maps)} support={len(point)}")
+    if args.point is None:
+        lines.append(f"quadrant_safe={safe}")
+    lines.append(f"generators={len(maps)} support={len(point)}")
     if len(maps) == 1 and not args.closure:
-        print(f"budget={args.max_steps}")
+        lines.append(f"budget={args.max_steps}")
         verdict = orbit.is_stable_singleton(maps[0], point, args.max_steps)
     else:
-        print(f"max_points={args.max_points} max_depth={args.max_depth}")
+        lines.append(f"max_points={args.max_points} max_depth={args.max_depth}")
         verdict = orbit.orbit_closure(maps, point, args.max_points, args.max_depth)
-    print(orbit.report_line(verdict))
-    return 0
+    lines.append(orbit.report_line(verdict))
+    return 0, lines
 
 
 def _corrupted_rule():
@@ -300,7 +299,8 @@ def _sum_over_shares(count, n: int) -> int:
 
     The first share runs here; each other share runs in a forked worker
     that sends its count through a pipe and leaves by ``os._exit``, so it
-    never returns into the caller.  A share runs here too when ``fork``
+    never returns into the caller and never flushes the copy of stdout's
+    buffer it was forked with.  A share runs here too when ``fork``
     fails or the platform has none.  A worker that exits abnormally is a
     ``RuntimeError``; every worker is reaped before this returns or raises.
     """
@@ -309,8 +309,6 @@ def _sum_over_shares(count, n: int) -> int:
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     shares = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, n))
     bounds = [n * k // shares for k in range(shares + 1)]
-    if sys.stdout is not None:  # None when the process was started with stdout closed
-        sys.stdout.flush()  # so no worker holds a copy of buffered output
     total = 0
     workers = []  # (pid, read end of its pipe, start, stop)
     try:
@@ -351,12 +349,12 @@ def _sum_over_shares(count, n: int) -> int:
     return total
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from . import life, lifepoly
     from .dynamics import GridRuleMap
 
-    print(f"command={args.command}")
-    print(f"trials={args.trials} size={args.size} density={args.density} seed={args.seed}")
+    lines = [f"command={args.command}",
+             f"trials={args.trials} size={args.size} density={args.density} seed={args.seed}"]
     gol = (GridRuleMap(_corrupted_rule(), lifepoly.cantor_pairing()) if args.corrupt
            else lifepoly.build_gol_map())
 
@@ -370,8 +368,8 @@ def cmd_verify(args) -> int:
         return failures
 
     failures = _sum_over_shares(failures_in, args.trials)
-    print(f"failures={failures} passes={args.trials - failures}")
-    return 0 if failures == 0 else 2
+    lines.append(f"failures={failures} passes={args.trials - failures}")
+    return (0 if failures == 0 else 2), lines
 
 
 def _build_parser() -> _Parser:
@@ -440,9 +438,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        code, lines = args.func(args)
+        for line in lines:  # a list, or the trace of tm run, made as it is printed
+            print(line)
     except (OSError, ValueError) as exc:  # bad input, undecodable bytes included
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a backstop: an allocation failed under an address-space limit
+        print("error: out of memory", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # an internal invariant check failed
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -8,19 +8,20 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import typing
 from pathlib import Path
 
 import pytest
 
 import orbitkit
-from orbitkit import life, lifepoly
+from orbitkit import dynamics, life, lifepoly, turing
 from orbitkit.cli import CliInputError, main, parse_component_map
 from orbitkit.dynamics import FiniteComponentMap, SparsePoint
 from orbitkit.polymap import Polynomial, variable
 
 from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE, count_calls
-from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER, WRITER
+from test_turing import ACCEPT_ON_START, RIGHT_MOVER, RIGHT_WRITER, STAY_LEFT_LOOPER, WRITER
 
 
 def run_cli(args, capsys):
@@ -394,6 +395,75 @@ def test_a_failing_share_is_an_internal_error_and_reaps_every_worker(
     assert run_cli(["verify", "--trials", "10"], capsys)[0] == 0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# main prints a report only after its command returns, so a walk that fails partway
+# leaves stdout empty; a MemoryError, as under an address-space limit, is an input error
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [(ValueError, 1, "error: step failed"), (RuntimeError, 2, "internal check failed: step failed"),
+     (MemoryError, 1, "error: out of memory")],
+    ids=["value-error", "runtime-error", "memory-error"],
+)
+@pytest.mark.parametrize(
+    "args, owner, name",
+    [
+        (["orbit", "check", "--point", "p.pt", "--map", "m.map"],
+         dynamics.FiniteComponentMap, "apply"),
+        (["orbit", "check", "--point", "p.pt", "--map", "m.map", "--closure"],
+         dynamics.FiniteComponentMap, "apply"),
+        (["tm", "periodicity", "m.tm"], turing, "tm_step"),
+        (["verify", "--trials", "4"], life, "step"),
+    ],
+    ids=["orbit-singleton", "orbit-closure", "tm-periodicity", "verify"],
+)
+def test_a_failing_step_prints_nothing_on_stdout(args, owner, name, exc, code, message,
+                                                  tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pt").write_text("0:1\n")
+    (tmp_path / "m.map").write_text("0: x0 + 1\n")
+    (tmp_path / "m.tm").write_text(STAY_LEFT_LOOPER)
+
+    def step(*args):
+        raise exc("step failed")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # verify runs every trial here
+    monkeypatch.setattr(owner, name, step)
+    got, out, err = run_cli(args, capsys)
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0] == message
+    assert re.fullmatch(r"walltime_ms=\d+\.\d", lines[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_output_buffered_before_verify_forks_is_written_once():
+    # block-buffered stdout: a worker that flushed its copy of the buffer would repeat it
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(orbitkit.__file__).parents[1])
+    code = ("import os, sys; from orbitkit import cli; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "sys.stdout.write('before\\n'); sys.exit(cli.main(['verify', '--trials', '8']))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:2] == ["before", "command=verify"]
+    assert lines.count("before") == 1
+
+
+def test_tm_run_prints_its_trace_as_it_is_made(tmp_path, monkeypatch):
+    # 4.07 M characters of trace at this budget; printing it as it is made keeps memory flat
+    machine = tmp_path / "w.tm"
+    machine.write_text(RIGHT_WRITER)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["tm", "run", str(machine), "--budget", "2000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20, peak
 
 
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
