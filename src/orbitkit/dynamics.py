@@ -12,22 +12,26 @@ Two map families describe every self-map the toolkit needs:
   rule, so the rule must send the all-zero neighborhood to 0; that keeps
   images finitely supported and is checked at construction.  On 0/1
   points the rule takes only 512 inputs, so construction compiles it to
-  a 512-entry table, and the table to one decision diagram per nonzero
-  value.  A 0/1 point whose bounding box is dense is packed into one int,
-  a board, and one kernel runs the diagrams on the whole board at once; a
-  sparse one reads the table through 9-bit neighborhood masks, cell by
-  cell.  Points holding any other value are evaluated with the polynomial
-  itself.  This module owns the mask convention (bit i stands for x_i)
-  and :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs
-  to expand pattern sets into rules.
+  a 512-entry table, and a table that takes only 0 and 1 to one decision
+  diagram.  A 0/1 point reads the table through 9-bit neighborhood
+  masks, cell by cell, unless it goes on a board; points holding any
+  other value are evaluated with the polynomial itself.  This module
+  owns the mask convention (bit i stands for x_i) and
+  :func:`subset_transform`, which :mod:`orbitkit.lifepoly` also runs to
+  expand pattern sets into rules.
 
-The walks in :mod:`orbitkit.orbit` keep points as keys and step them
-through :func:`_key_walk`, one function per generator, in one of three
-key kinds: byte codes of the start's values when every generator is a
-signed permutation that keeps the start's layout; boards, stepped by the
-kernel without building a point, when every generator is a 0/1 grid rule
-and the point is a dense 0/1 point; else :meth:`SparsePoint._key` tuples
-stepped by ``apply``.
+There is one board format.  :func:`_board` packs the live cells of a 0/1
+point into one int at a row stride of the box width plus 2, rounded up
+to 16, while that int holds at most ``_BOARD_BITS_PER_CELL`` (1,024) bits
+per live cell; :meth:`GridRuleMap._image` runs the diagram on a board,
+and :func:`_unpack` reads a board back.  ``apply`` steps a dense 0/1
+point that way, and so do the walks in :mod:`orbitkit.orbit`, which keep
+points as keys and step them through :func:`_key_walk`, one function per
+generator, in one of three key kinds: byte codes of the start's values
+when every generator is a signed permutation that keeps the start's
+layout; boards, without building a point, when every generator has a
+diagram and the point is a dense 0/1 point; else
+:meth:`SparsePoint._key` tuples stepped by ``apply``.
 
 Everything here is an immutable value and every operation is pure, so
 points and maps are safe to share between threads.
@@ -286,11 +290,8 @@ def subset_transform(entries: Iterable[tuple[int, int]], sign: int) -> list[int]
     return values
 
 
-# A 0/1 point is packed when the packed int has at most this many bits per live
-# cell, about where the packed and the per-cell path cost the same.
-_PACKED_BITS_PER_CELL = 256
-# A walk keys a 0/1 point by its board while the board holds at most this many
-# bits per live cell, the figure life.step packs at.
+# A 0/1 point is boarded while its board holds at most this many bits per live
+# cell, the figure life.step packs at.
 _BOARD_BITS_PER_CELL = 1024
 
 
@@ -321,32 +322,39 @@ def _diagram(truth) -> tuple:
     return tuple(nodes)
 
 
-def _pack(cells, a0, b0, stride, height) -> int:
-    """The board of ``cells``: cell (a, b) at bit ``(b - b0) * stride + a - a0``."""
-    low = b0 * stride + a0
-    packed = bytearray(height * stride // 8 + 1)
+def _board(cells) -> Union[tuple, None]:
+    """The board ``(x0, y0, stride, board)`` of a collection of distinct cells:
+    ``(x0, y0)`` is the corner of their tight bounding box, ``stride`` the box
+    width plus 2, rounded up to a multiple of 16, and cell (a, b) is bit
+    ``(b - y0) * stride + a - x0`` of ``board``.  None when there are no cells
+    or the board would hold more than ``_BOARD_BITS_PER_CELL`` bits per cell."""
+    if not cells:
+        return None
+    xs, ys = zip(*cells)
+    x0, y0 = min(xs), min(ys)
+    stride = max(xs) - x0 + 18 & -16
+    height = max(ys) - y0 + 1
+    if stride * height > _BOARD_BITS_PER_CELL * len(cells):
+        return None
+    low = y0 * stride + x0
+    packed = bytearray(height * stride >> 3)
     for a, b in cells:
         p = b * stride + a - low
         packed[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(packed, "little")
+    return x0, y0, stride, int.from_bytes(packed, "little")
 
 
-def _unpack(roots, stride, a0, b0, forward) -> dict:
-    """The entries of the point holding ``value`` at each cell of ``board``, for
-    each ``(value, board)`` of ``roots``: bit ``b * stride + a`` of a natural
-    board stands for cell (a0 + a, b0 + b), and cells at a negative coordinate
-    are left out."""
+def _unpack(key, forward) -> dict:
+    """The entries of the 0/1 point of board ``key``, whose cells all lie in the
+    quadrant."""
+    x0, y0, stride, board = key
     out: dict[int, int] = {}
-    for value, board in roots:
-        bits = bin(board)[:1:-1]  # bit p at bits[p]
-        p = bits.find("1")
-        while p != -1:
-            b, a = divmod(p, stride)
-            a += a0
-            b += b0
-            if a >= 0 and b >= 0:
-                out[forward(a, b)] = value
-            p = bits.find("1", p + 1)
+    bits = bin(board)[:1:-1]  # bit p at bits[p]
+    p = bits.find("1")
+    while p != -1:
+        b, a = divmod(p, stride)
+        out[forward(x0 + a, y0 + b)] = 1
+        p = bits.find("1", p + 1)
     return out
 
 
@@ -361,29 +369,30 @@ class GridRuleMap:
     The table holds the rule's value on all 512 0/1 neighborhoods (bit i
     of a mask stands for x_i): each monomial's coefficient sits at the mask
     of its variables (x^k = x on 0/1 inputs) and :func:`subset_transform`
-    adds up every monomial a neighborhood switches on.  For each nonzero
-    value v of the table, construction also builds the reduced ordered
-    decision diagram (Bryant, 1986) of "the table reads v", an immutable
-    tuple of ``(var, lo, hi)`` nodes; the Life rule's has 26 nodes.
+    adds up every monomial a neighborhood switches on.  When the table
+    takes only 0 and 1, as the Life rule's does, construction also builds
+    its reduced ordered decision diagram (Bryant, 1986), an immutable
+    tuple of ``(var, lo, hi)`` nodes; the Life rule's has 26 nodes.  Any
+    other table leaves ``_diagram`` None.
 
-    When every value of the point is 1, application picks one of two
-    paths by comparing the size of the packed int (the bounding box with
-    a two-cell margin) with the number of live cells:
+    When every value of the point is 1, application takes one of two
+    paths:
 
-    * *packed*, for a dense box: the live cells become the bits of one
-      int, a board, at a fixed row stride, and :meth:`_kernel` evaluates
-      each diagram once for the whole board; the set bits of its root are
-      the cells that map to v.  :func:`_key_walk` steps dense points of a
-      walk through the same kernel, without building a point.
-    * *per cell*, for a sparse box: each live cell ORs its bit into the
-      9-bit mask of every cell in its 3x3 block, and a cell's image is
+    * *board*, when the rule has a diagram and :func:`_board` frames the
+      live cells, which it does while the board holds at most
+      ``_BOARD_BITS_PER_CELL`` bits per live cell: :meth:`_image` runs the
+      diagram once on the whole board, and :func:`_unpack` reads off the
+      image.  :func:`_key_walk` steps dense points of a walk on the same
+      boards through the same :meth:`_image`, without building a point.
+    * *per cell*, otherwise: each live cell ORs its bit into the 9-bit
+      mask of every cell in its 3x3 block, and a cell's image is
       ``table[mask]``.  Memory stays in proportion to the live cells, so
       cells far apart never build a large int.
 
     Any other point takes the generic path, one ``rule.evaluate`` per cell.
     """
 
-    __slots__ = ("_rule", "_pairing", "_table", "_diagrams")
+    __slots__ = ("_rule", "_pairing", "_table", "_diagram")
 
     def __init__(self, rule: Polynomial, pairing: PairingSpec):
         if rule.evaluate({}) != 0:
@@ -396,8 +405,7 @@ class GridRuleMap:
         self._table = subset_transform(
             ((sum(1 << var for var, _ in mono), coeff) for mono, coeff in rule.terms.items()), 1
         )
-        self._diagrams = tuple((value, _diagram([v == value for v in self._table]))
-                               for value in sorted(set(self._table) - {0}))
+        self._diagram = _diagram(self._table) if set(self._table) == {0, 1} else None
 
     @property
     def rule(self) -> Polynomial:
@@ -408,14 +416,10 @@ class GridRuleMap:
         forward = self._pairing.forward
         cells = {inverse(idx): value for idx, value in x.items()}
         binary = all(v == 1 for v in cells.values())
-        if binary and cells:
-            xs, ys = zip(*cells)
-            a0, b0 = min(xs), min(ys)
-            width, height = max(xs) - a0 + 1, max(ys) - b0 + 1
-            if (width + 4) * (height + 4) <= _PACKED_BITS_PER_CELL * len(cells):
-                stride = width + 2
-                roots = self._kernel(_pack(cells, a0, b0, stride, height), stride)
-                return SparsePoint._raw(_unpack(roots, stride, a0 - 1, b0 - 1, forward))
+        if binary and self._diagram:
+            key = _board(cells)
+            if key:
+                return SparsePoint._raw(_unpack(self._image(key), forward))
         masks: dict[tuple[int, int], int] = {}
         get = masks.get
         for a, b in cells:
@@ -440,26 +444,32 @@ class GridRuleMap:
                         out[forward(a, b)] = v
         return SparsePoint._raw(out)
 
-    def _kernel(self, board, stride):
-        """Yield each nonzero table value with the board of the cells that map to it.
+    def _image(self, key) -> tuple:
+        """The board of the image of the point of board ``key``, framed on its box
+        grown by one cell on every side, where every cell that can come alive
+        lies, less the cells at a negative coordinate.
 
-        ``board`` holds cell (a, b) of a box at bit ``b * stride + a``, with at
-        least two dead columns at the end of every row, so no shift by one
-        column carries a cell into the next row.  Bit ``b * stride + a`` of a
-        returned board stands for cell (a - 1, b - 1): the box grown by one
-        cell on every side, where every cell that can come alive lies.  The
-        nine neighbor boards are shifts of ``board`` and a diagram node is
-        ``lo ^ (X & (hi ^ lo))``, three int operations."""
+        A stride of at least the width plus 2 leaves two dead columns at the
+        end of every row, so no shift by one column carries a cell into the
+        next row.  The nine neighbor boards are shifts of the board, and a
+        diagram node is ``lo ^ (X & (hi ^ lo))``, three int operations."""
+        x0, y0, stride, board = key
         # boards[i] has the bit of each cell set when its neighbor x_i is live
         boards = [board << stride + 1 - db * stride - da for da, db in _OFFSETS9]
-        for value, diagram in self._diagrams:
-            # true is -1, every bit set; the rule sends an all-dead 3x3 block to 0,
-            # so the root's board is a natural int within the grown box
-            node = [0, -1]
-            for var, lo, hi in diagram:
-                lo = node[lo]
-                node.append(lo ^ (boards[var] & (node[hi] ^ lo)))
-            yield value, node[-1]
+        # true is -1, every bit set; the rule sends an all-dead 3x3 block to 0,
+        # so the root's board is a natural int within the grown box
+        node = [0, -1]
+        for var, lo, hi in self._diagram:
+            lo = node[lo]
+            node.append(lo ^ (boards[var] & (node[hi] ^ lo)))
+        board = node[-1]
+        if not y0:
+            board >>= stride
+            y0 = 1
+        if not x0:
+            rows = board.bit_length() // stride + 1
+            board &= ~((1 << stride * rows) // ((1 << stride) - 1))
+        return x0 - 1, y0 - 1, stride, board
 
     def __repr__(self) -> str:
         return f"<GridRuleMap pairing={self._pairing.name} rule_terms={len(self._rule.terms)}>"
@@ -503,43 +513,25 @@ def _restride(board, stride, new, height) -> int:
 
 def _board_walk(generators, x) -> tuple:
     """:func:`_key_walk`'s boards, for :class:`GridRuleMap` generators of one
-    pairing whose tables take only 0 and 1, from a nonempty 0/1 point."""
+    pairing that have a diagram, from a nonempty 0/1 point."""
     pairing = generators[0]._pairing
     empty = SparsePoint()._key()
 
     def keyed(y, layout=()):
-        cells = list(map(pairing.inverse, y._entries))
-        if cells:
-            xs, ys = zip(*cells)
-            x0, y0 = min(xs), min(ys)
-            stride = max(xs) - x0 + 18 & -16  # width + 2, rounded up to 16
-            height = max(ys) - y0 + 1
-            if stride * height <= _BOARD_BITS_PER_CELL * len(cells):
-                return x0, y0, stride, _pack(cells, x0, y0, stride, height)
-        return y._key(layout)
+        return _board(list(map(pairing.inverse, y._entries))) or y._key(layout)
 
     def point(key):
         if type(key[0]) is tuple:
             return SparsePoint._from_key(key)
-        x0, y0, stride, board = key
-        return SparsePoint._raw(_unpack([(1, board)], stride, x0, y0, pairing.forward))
+        return SparsePoint._raw(_unpack(key, pairing.forward))
 
     def walker(g):
-        apply, kernel = g.apply, g._kernel
+        apply, image = g.apply, g._image
 
         def step(key):
             if type(key[0]) is tuple:
                 return keyed(apply(SparsePoint._from_key(key)), key[0])
-            x0, y0, stride, board = key
-            [(_, board)] = kernel(board, stride)
-            # the kernel's board starts at (x0 - 1, y0 - 1); clear what lies at
-            # a negative coordinate, as apply does
-            if not y0:
-                board >>= stride
-                y0 = 1
-            if not x0:
-                rows = board.bit_length() // stride + 1
-                board &= ~((1 << stride * rows) // ((1 << stride) - 1))
+            x0, y0, stride, board = image(key)
             if not board:
                 return empty
             # the tight box: its rows from the lowest and highest bits, its
@@ -553,10 +545,10 @@ def _board_walk(generators, x) -> tuple:
                 fold = fold >> half | fold & (1 << half) - 1
             left = (fold & -fold).bit_length() - 1
             board >>= top * stride + left
-            new = fold.bit_length() - left + 17 & -16
+            new = fold.bit_length() - left + 17 & -16  # the stride rule of _board
             if new != stride:
                 board = _restride(board, stride, new, height)
-            key = x0 - 1 + left, y0 - 1 + top, new, board
+            key = x0 + left, y0 + top, new, board
             if new * height > _BOARD_BITS_PER_CELL * board.bit_count():
                 return point(key)._key()
             return key
@@ -581,17 +573,15 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       33 bytes plus one per coordinate.
     * *Boards.*  When every generator is a :class:`GridRuleMap` of one pairing
       whose table takes only 0 and 1, and ``x`` is a nonempty 0/1 point, every
-      point of the orbit is a 0/1 point.  A point whose board holds at most
-      ``_BOARD_BITS_PER_CELL`` (1,024) bits per live cell is keyed
-      ``(x0, y0, stride, board)``: ``(x0, y0)`` is the corner of its cells'
-      tight bounding box, cell (a, b) is bit ``(b - y0) * stride + a - x0``
-      of ``board``, and ``stride`` is the box width plus 2, rounded up to a
-      multiple of 16.  A step runs :meth:`GridRuleMap._kernel` on the board,
-      clears the cells at a negative coordinate, finds the new box by
-      folding the rows in halves, and re-frames the board: one shift when
-      the stride is unchanged.  A board costs 4 bytes per 30 bits, so a key
-      at the limit costs about 137 bytes per live cell, up to about 2.9
-      times the tuple key of its point.
+      point of the orbit is a 0/1 point.  A point that :func:`_board`
+      frames is keyed by its board ``(x0, y0, stride, board)``.  A step
+      runs :meth:`GridRuleMap._image` on the board, finds the new tight box
+      by folding the rows in halves, and re-frames the board: one shift
+      when the stride is unchanged.  A board costs 4 bytes per 30 bits, so
+      a key at 1,024 bits per live cell costs about 137 bytes per live
+      cell, up to about 2.9 times the tuple key of its point; a singleton
+      walk stores every key it meets, so the limit bounds each key, not
+      the walk.
       Any other point of such a walk, sparse or empty, keeps a tuple key and
       steps through ``apply``; the kind depends on the point alone.
     * *Tuples.*  Every other walk keys points with :meth:`SparsePoint._key`
@@ -601,7 +591,7 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       per live cell this way, mostly its coordinate ints."""
     if x and set(x._entries.values()) == {1} and all(
             isinstance(g, GridRuleMap) and g._pairing == generators[0]._pairing
-            and set(g._table) == {0, 1} for g in generators):
+            and g._diagram for g in generators):
         return _board_walk(generators, x)
     start = x._key()
     layout = start[0]

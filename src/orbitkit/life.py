@@ -181,13 +181,16 @@ def parse_rle(text: str) -> LifeConfig:
     expanded = 0
     x = y = 0
     count = None  # the pending run count, None until its first digit
+    # a count past the box puts x or y outside it whatever its size, so the count
+    # saturates there: each digit costs O(1), and every decision stays the same
+    cap = max(width, height) + 1
     for li in range(header_at + 1, len(lines)):
         line = lines[li]
         if line.lstrip().startswith("#"):
             continue
         for ci, ch in enumerate(line):
             if "0" <= ch <= "9":
-                count = int(ch) if count is None else count * 10 + int(ch)
+                count = int(ch) if count is None else min(count * 10 + int(ch), cap)
             elif ch in "bo$":
                 n = 1 if count is None else count
                 count = None

@@ -13,33 +13,8 @@ Both walks keep each point they store, and each point waiting in the
 closure's frontier, as one key, and step keys through
 :func:`orbitkit.dynamics._key_walk`, one function per generator, built
 once from the generators and the start.  Membership is then a hash and
-compare of the key.
-
-* When every generator is a :class:`~orbitkit.dynamics.FiniteComponentMap`
-  of ``x_j`` and ``-x_j`` components that keeps the start's layout, as in
-  swaps, cycles and sign flips, every point of the orbit is a signed
-  permutation of the start's values.  A key is then a ``bytes`` code of
-  one byte per coordinate, and a step is one gather of bytes.  A point
-  of n coordinates costs a bytes object of 33 + n bytes and its set
-  slot: about 75 to 90 bytes for 7 or 8 coordinates, measured with
-  ``tracemalloc``, whatever the size of its values.
-* When every generator is a :class:`~orbitkit.dynamics.GridRuleMap` of
-  one pairing whose table takes only 0 and 1, such as the Life rule, and
-  the start is a nonempty 0/1 point, a point whose bounding box holds at
-  most 1,024 bits per live cell is keyed by its board, ``(x0, y0, stride,
-  board)``, and a step runs the rule's decision diagrams on the whole
-  board, with no pairing and no point built.  A board costs 4 bytes per
-  30 bits of its box, so a key at that limit costs about 137 bytes per
-  live cell, up to about 2.9 times the tuple key below; a singleton walk
-  stores every key it meets, so the limit bounds each key, not the walk.
-  A sparser point, or the empty one, keeps its tuple key and steps
-  through ``apply``.
-* Every other walk keys a point as a tuple of its layout (the sorted
-  coordinates, as one tuple) and its values in the same order, and steps
-  a key by ``apply`` on the point rebuilt from it.  Keys of one layout
-  share one layout object, so such a key costs a tuple of 48 + 8n bytes,
-  its set slot, and the values it shares with no other point: about 44
-  to 48 bytes per live cell on a Life walk.
+compare of the key.  :func:`~orbitkit.dynamics._key_walk` states the
+three key kinds, byte codes, boards and tuples, and what each costs.
 
 Instability can never be confirmed, only bounded exploration reported,
 so the negative verdict is an honest ``Unknown``, not an error.

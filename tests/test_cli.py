@@ -694,9 +694,10 @@ def test_bad_rle_is_input_error(tmp_path, capsys):
 
 
 # a run count is bounded by the header's box, so a short pattern cannot ask for a
-# million cells
-@pytest.mark.parametrize("rle", ["x = 1, y = 1\n1000000o!", "x = 3, y = 1\n3o1000000$o!"],
-                         ids=["column", "row"])
+# million cells, and a count of a million digits is read in one pass
+@pytest.mark.parametrize("rle", ["x = 1, y = 1\n1000000o!", "x = 3, y = 1\n3o1000000$o!",
+                                 "x = 3, y = 1\n" + "7" * 10**6 + "o!"],
+                         ids=["column", "row", "long-count"])
 @pytest.mark.parametrize("args", [["life", "run", "s.rle"],
                                   ["orbit", "check", "--encode", "s.rle", "--map", "gol"]],
                          ids=["life-run", "orbit-encode"])

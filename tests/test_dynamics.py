@@ -5,7 +5,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orbitkit import cli, dynamics, life
@@ -466,12 +466,12 @@ def _counting_evaluate():
 def _check_against_reference(rule, x, *, table_path):
     m = GridRuleMap(rule, cantor_pairing())
     expected = reference_grid_apply(rule, x)
-    # the switch as it stands, then the per-cell path, then the packed path on a small box
-    limits = [dynamics._PACKED_BITS_PER_CELL, 0]
+    # the switch as it stands, then the per-cell path, then the board path on a small box
+    limits = [dynamics._BOARD_BITS_PER_CELL, 0]
     if all(a < 100 and b < 100 for a, b in map(unpair, x.support())):
         limits.append(10**9)
     for limit in limits:
-        with mock.patch.object(dynamics, "_PACKED_BITS_PER_CELL", limit), \
+        with mock.patch.object(dynamics, "_BOARD_BITS_PER_CELL", limit), \
                 _counting_evaluate() as evaluate:
             got = m.apply(x)
         assert got == expected
@@ -484,8 +484,8 @@ def _check_against_reference(rule, x, *, table_path):
 @pytest.mark.parametrize("name", sorted(NAMED_RULES))
 def test_each_nonzero_table_value_has_its_diagram(name):
     m = GridRuleMap(NAMED_RULES[name](), cantor_pairing())
-    [(value, diagram)] = m._diagrams
-    assert value == 1 and type(diagram) is tuple
+    diagram = m._diagram
+    assert set(m._table) == {0, 1} and type(diagram) is tuple
     assert len(diagram) == {"life": 26, "corrupt": 23}[name]
     for mask in range(512):
         # a node's children come before it, so one pass in order reaches the root
@@ -496,8 +496,23 @@ def test_each_nonzero_table_value_has_its_diagram(name):
         assert node[-1] == (m._table[mask] == 1)
 
 
+@pytest.mark.parametrize("rule", [2 * variable(0), variable(0) + variable(1) * variable(8)],
+                         ids=["doubling", "sum"])
+def test_a_table_with_other_values_has_no_diagram_and_reads_the_table(rule):
+    m = GridRuleMap(rule, cantor_pairing())
+    assert m._diagram is None and set(m._table) - {0, 1}
+    # a dense soup with cells on row 0 and column 0
+    rng = random.Random(5)
+    x = encode({(a, b) for a in range(12) for b in range(12) if rng.random() < 0.5})
+    expected = reference_grid_apply(rule, x)
+    with _counting_evaluate() as evaluate:
+        got = m.apply(x)
+    assert evaluate.call_count == 0
+    assert got == expected
+
+
 def test_map_on_cells_far_apart_stays_small():
-    # two blocks about 10**12 apart: the packed path would need a 10**24-bit int
+    # two blocks about 10**12 apart: the board path would need a 10**24-bit int
     block = {(1, 1), (2, 1), (1, 2), (2, 2)}
     cells = block | {(a + 10**12, b + 10**12 - 7) for a, b in block}
     x = SparsePoint({pair(a, b): 1 for a, b in cells})
@@ -515,8 +530,15 @@ def test_map_on_cells_far_apart_stays_small():
     assert peak < 2**20
 
 
+# three live cells in a line along row 0 or column 0 bring a cell to life at a
+# negative coordinate, which the map must leave out
+EDGE_BLINKERS = SparsePoint({pair(a, b): 1 for a, b in ((4, 0), (5, 0), (6, 0), (0, 4), (0, 5),
+                                                        (0, 6), (3, 3))})
+
+
 @pytest.mark.parametrize("name", sorted(NAMED_RULES))
 @given(x=binary_points)
+@example(x=EDGE_BLINKERS)
 def test_compiled_rule_matches_reference_on_binary_points(name, x):
     _check_against_reference(NAMED_RULES[name](), x, table_path=True)
 

@@ -231,6 +231,25 @@ def test_parse_errors_carry_position():
         parse_rle("")
 
 
+def test_parse_reads_a_long_run_count_in_linear_time():
+    digits = "7" * 10**6
+    started = time.perf_counter()
+    with pytest.raises(RleParseError, match="outside the declared 3 x 1 box") as exc:
+        parse_rle(f"x = 3, y = 1\n{digits}o!")
+    assert time.perf_counter() - started < 1
+    assert (exc.value.line, exc.value.column) == (2, 10**6 + 1)
+    # a dead run or a row break past the box is still accepted, and a zero-count
+    # live run after it checks nothing, as with the count in full
+    row = frozenset({(0, 0), (1, 0), (2, 0)})
+    assert parse_rle(f"x = 3, y = 1\n3o{digits}b!") == row
+    assert parse_rle(f"x = 3, y = 1\n3o{digits}$!") == row
+    assert parse_rle(f"x = 3, y = 2\n3o{digits}b0o$o!") == row | {(0, 1)}
+    # leading zeros leave a count as it is
+    assert parse_rle("x = 3, y = 1\n" + "0" * 10**5 + "3o!") == row
+    with pytest.raises(RleParseError, match="outside the declared 3 x 1 box"):
+        parse_rle("x = 3, y = 1\n" + "0" * 10**5 + "4o!")
+
+
 def test_parse_keeps_live_cells_inside_the_declared_box():
     # dead runs may pass the box's edge; a live cell may not
     assert parse_rle("x = 3, y = 2\n3o5b$2bo3b2$!") == frozenset({(0, 0), (1, 0), (2, 0), (2, 1)})
