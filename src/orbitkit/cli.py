@@ -64,9 +64,12 @@ class _Parser(argparse.ArgumentParser):
 def _integer(text: str) -> int:
     """argparse type: an optional ``-`` and ASCII digits, nothing else."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(text)  # also raises past the interpreter's limit on integer digits
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _at_least(minimum: int):
@@ -149,7 +152,10 @@ def parse_component_map(text: str) -> orbitkit.dynamics.FiniteComponentMap:
         coord_text = coord_text.strip()
         if not (coord_text.isascii() and coord_text.isdigit()):
             raise CliInputError(f"coordinate {coord_text!r} on line {lineno} is not a natural number")
-        coord = int(coord_text)
+        try:
+            coord = int(coord_text)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise CliInputError(f"coordinate on line {lineno} has too many digits") from None
         if coord in components:
             raise CliInputError(f"duplicate coordinate {coord} on line {lineno}")
         components[coord] = parse_poly(poly_text)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .polymap import Polynomial, constant
 
@@ -50,7 +50,6 @@ __all__ = [
     "FiniteComponentMap",
     "GridRuleMap",
     "NEIGHBOR_OFFSETS",
-    "PairingSpec",
     "PointParseError",
     "PolyMapDesc",
     "SparsePoint",
@@ -178,50 +177,16 @@ def parse_point(text: str) -> SparsePoint:
         m = _TOKEN_RE.match(token)
         if not m:
             raise PointParseError(f"bad token {token!r}, expected 'index:value'")
-        coord, value = int(m.group(1)), int(m.group(2))
+        try:
+            coord, value = int(m.group(1)), int(m.group(2))
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise PointParseError(f"too many digits in token {token!r}") from None
         if value == 0:
             raise PointParseError(f"zero value for coordinate {coord} is not stored")
         if coord in entries:
             raise PointParseError(f"duplicate coordinate {coord}")
         entries[coord] = value
     return SparsePoint._raw(entries)
-
-
-class PairingSpec:
-    """A named injection of quadrant cells (a, b) into coordinate indexes.
-
-    ``forward`` must return natural ``int`` indexes, which grid-rule
-    application stores unchecked; ``inverse`` must raise
-    :class:`ValueError` for indexes outside the image of ``forward``, and
-    :meth:`GridRuleMap.apply` lets that error propagate unchanged.
-    Immutable; ``==`` and ``hash`` go by ``name`` alone.
-    """
-
-    __slots__ = ("name", "forward", "inverse")
-
-    def __init__(self, name: str, forward: Callable[[int, int], int],
-                 inverse: Callable[[int], tuple[int, int]]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "inverse", inverse)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __repr__(self) -> str:
-        return (f"PairingSpec(name={self.name!r}, forward={self.forward!r}, "
-                f"inverse={self.inverse!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FiniteComponentMap:
@@ -361,6 +326,12 @@ def _unpack(key, forward) -> dict:
 class GridRuleMap:
     """Shift-invariant local rule lifted to the coordinate axis via a pairing.
 
+    ``pairing`` is a pair of functions ``(forward, inverse)``.  ``forward``
+    injects quadrant cells (a, b) into natural ``int`` coordinates, which
+    application stores unchecked; ``inverse`` takes a coordinate back to
+    its cell and raises :class:`ValueError` for one outside the image of
+    ``forward``, and :meth:`apply` passes that error on unchanged.
+
     Application evaluates the rule at every quadrant cell within Chebyshev
     distance 1 of the point's unpaired support (the only cells where the
     result can be nonzero, by the zero-at-zero check); neighbors outside
@@ -375,26 +346,24 @@ class GridRuleMap:
     tuple of ``(var, lo, hi)`` nodes; the Life rule's has 26 nodes.  Any
     other table leaves ``_diagram`` None.
 
-    When every value of the point is 1, application takes one of two
-    paths:
+    A point whose values are all 1 goes on a board when the rule has a
+    diagram and :func:`_board` frames the live cells, which it does while
+    the board holds at most ``_BOARD_BITS_PER_CELL`` bits per live cell:
+    :meth:`_image` runs the diagram once on the whole board, and
+    :func:`_unpack` reads off the image.  :func:`_key_walk` steps dense
+    points of a walk on the same boards through the same :meth:`_image`,
+    without building a point.
 
-    * *board*, when the rule has a diagram and :func:`_board` frames the
-      live cells, which it does while the board holds at most
-      ``_BOARD_BITS_PER_CELL`` bits per live cell: :meth:`_image` runs the
-      diagram once on the whole board, and :func:`_unpack` reads off the
-      image.  :func:`_key_walk` steps dense points of a walk on the same
-      boards through the same :meth:`_image`, without building a point.
-    * *per cell*, otherwise: each live cell ORs its bit into the 9-bit
-      mask of every cell in its 3x3 block, and a cell's image is
-      ``table[mask]``.  Memory stays in proportion to the live cells, so
-      cells far apart never build a large int.
-
-    Any other point takes the generic path, one ``rule.evaluate`` per cell.
+    Every other point is read cell by cell: each live cell ORs its bit
+    into the 9-bit mask of every cell in its 3x3 block, and a quadrant
+    cell's image is ``table[mask]`` when every value is 1, else one
+    ``rule.evaluate`` of its neighborhood.  Memory stays in proportion to
+    the live cells, so cells far apart never build a large int.
     """
 
     __slots__ = ("_rule", "_pairing", "_table", "_diagram")
 
-    def __init__(self, rule: Polynomial, pairing: PairingSpec):
+    def __init__(self, rule: Polynomial, pairing: tuple):
         if rule.evaluate({}) != 0:
             raise ValueError("local rule must send the all-zero neighborhood to 0")
         high = [v for v in rule.support_vars() if v > 8]
@@ -412,8 +381,7 @@ class GridRuleMap:
         return self._rule
 
     def apply(self, x: SparsePoint) -> SparsePoint:
-        inverse = self._pairing.inverse
-        forward = self._pairing.forward
+        forward, inverse = self._pairing
         cells = {inverse(idx): value for idx, value in x.items()}
         binary = all(v == 1 for v in cells.values())
         if binary and self._diagram:
@@ -426,22 +394,14 @@ class GridRuleMap:
             for da, db, bit in _SCATTER:
                 key = (a + da, b + db)
                 masks[key] = get(key, 0) | bit
+        table, evaluate, read = self._table, self._rule.evaluate, cells.get
         out: dict[int, int] = {}
-        if binary:
-            table = self._table
-            for (a, b), mask in masks.items():
-                v = table[mask]
-                if v and a >= 0 and b >= 0:
+        for (a, b), mask in masks.items():
+            if a >= 0 and b >= 0:
+                v = table[mask] if binary else evaluate(
+                    {i: read((a + da, b + db), 0) for i, (da, db) in enumerate(_OFFSETS9)})
+                if v:
                     out[forward(a, b)] = v
-        else:
-            evaluate = self._rule.evaluate
-            read = cells.get
-            for a, b in masks:
-                if a >= 0 and b >= 0:
-                    v = evaluate({i: read((a + da, b + db), 0)
-                                  for i, (da, db) in enumerate(_OFFSETS9)})
-                    if v:
-                        out[forward(a, b)] = v
         return SparsePoint._raw(out)
 
     def _image(self, key) -> tuple:
@@ -472,7 +432,7 @@ class GridRuleMap:
         return x0 - 1, y0 - 1, stride, board
 
     def __repr__(self) -> str:
-        return f"<GridRuleMap pairing={self._pairing.name} rule_terms={len(self._rule.terms)}>"
+        return f"<GridRuleMap rule_terms={len(self._rule.terms)}>"
 
 
 PolyMapDesc = Union[FiniteComponentMap, GridRuleMap]
@@ -514,16 +474,16 @@ def _restride(board, stride, new, height) -> int:
 def _board_walk(generators, x) -> tuple:
     """:func:`_key_walk`'s boards, for :class:`GridRuleMap` generators of one
     pairing that have a diagram, from a nonempty 0/1 point."""
-    pairing = generators[0]._pairing
+    forward, inverse = generators[0]._pairing
     empty = SparsePoint()._key()
 
     def keyed(y, layout=()):
-        return _board(list(map(pairing.inverse, y._entries))) or y._key(layout)
+        return _board(list(map(inverse, y._entries))) or y._key(layout)
 
     def point(key):
         if type(key[0]) is tuple:
             return SparsePoint._from_key(key)
-        return SparsePoint._raw(_unpack(key, pairing.forward))
+        return SparsePoint._raw(_unpack(key, forward))
 
     def walker(g):
         apply, image = g.apply, g._image

@@ -171,7 +171,10 @@ def parse_rle(text: str) -> LifeConfig:
         header = _HEADER_RE.match(s)
         if not header:
             raise RleParseError(f"malformed header {s!r}", i + 1, 1)
-        width, height = int(header.group(1)), int(header.group(2))
+        try:
+            width, height = int(header.group(1)), int(header.group(2))
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise RleParseError("header number has too many digits", i + 1, 1) from None
         header_at = i
         break
     if header_at is None:

@@ -27,7 +27,7 @@ from math import isqrt
 
 import orbitkit  # the package, already loaded: annotations name life.LifeConfig through it
 
-from .dynamics import GridRuleMap, PairingSpec, SparsePoint, subset_transform
+from .dynamics import GridRuleMap, SparsePoint, subset_transform
 from .polymap import Polynomial
 
 __all__ = [
@@ -138,8 +138,11 @@ def unpair(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1)
-def cantor_pairing() -> PairingSpec:
-    return PairingSpec(name="cantor", forward=pair, inverse=unpair)
+def cantor_pairing() -> tuple:
+    """``(pair, unpair)``, the ``(forward, inverse)`` pair a
+    :class:`~orbitkit.dynamics.GridRuleMap` takes; built once, so every map
+    built from it holds the same pair."""
+    return pair, unpair
 
 
 def encode(config: orbitkit.life.LifeConfig) -> SparsePoint:

@@ -258,6 +258,13 @@ def _coerce(value):
     return NotImplemented
 
 
+def _numeral(digits: str, term: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise PolyParseError(f"too many digits in term {term!r}") from None
+
+
 _FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 # a term separator: "+", "-", or "+" then "-"; a "-" in it makes the next term negative
 _TERM_SEP_RE = re.compile(r"(\+\s*-|[+-])")
@@ -292,11 +299,11 @@ def parse_poly(text: str) -> Polynomial:
             if token.isascii() and token.isdigit():
                 if i != 0:
                     raise PolyParseError(f"coefficient must lead its term: {chunk!r}")
-                coeff = int(token)
+                coeff = _numeral(token, chunk)
                 continue
             m = _FACTOR_RE.match(token)
             if not m:
                 raise PolyParseError(f"bad factor {token!r} in term {chunk!r}")
-            pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+            pairs.append((_numeral(m.group(1), chunk), _numeral(m.group(2) or "1", chunk)))
         terms.append((tuple(pairs), -coeff if sign.endswith("-") else coeff))
     return Polynomial(terms)

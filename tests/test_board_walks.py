@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from orbitkit import cli, life, orbit
 from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_walk
-from orbitkit.lifepoly import build_gol_map, cantor_pairing, encode, pair
+from orbitkit.lifepoly import build_gol_map, build_local_rule, cantor_pairing, encode, pair, unpair
 from orbitkit.orbit import enumerate_orbit, is_stable_singleton, orbit_closure
 from orbitkit.polymap import variable
 
 from helpers import BLINKER, BLOCK, GLIDER, reference_closure, reference_singleton
 
 corrupt_map = lru_cache(maxsize=1)(lambda: GridRuleMap(cli._corrupted_rule(), cantor_pairing()))
-grid_rules = st.sampled_from(["life", "corrupt"]).map(
-    lambda name: build_gol_map() if name == "life" else corrupt_map())
+# a map over a second pairing, Cantor's with the axes swapped, so a walk of two
+# generators may step them through different pairings; its rule copies the N
+# neighbor, a shift that swapping the axes turns into another, so the pairing
+# shows in every image (the Life rule looks the same through either pairing)
+transposed_map = lru_cache(maxsize=1)(lambda: GridRuleMap(
+    variable(2), (lambda a, b: pair(b, a), lambda n: unpair(n)[::-1])))
+grid_rules = st.sampled_from([build_gol_map, corrupt_map, transposed_map]).map(lambda make: make())
 # up to 8x8 live cells at offsets 0-3, so cells reach row 0 and column 0 and the
 # map clips there; a far cell sometimes makes the box too sparse for a board
 patterns = st.builds(
@@ -111,11 +116,13 @@ def test_tuple_keys_where_no_board_walk_applies():
     doubling = GridRuleMap(2 * variable(0), cantor_pairing())
     flip = FiniteComponentMap({0: -variable(0)})
     for gens, x in (([doubling], block), ([gol], with_a_two), ([gol, flip], block),
-                    ([gol], SparsePoint())):
+                    ([gol], SparsePoint()), ([gol, transposed_map()], block)):
         start, steps, point = _key_walk(gens, x)
         assert start == x._key() and point(start) == x
         for g, step in zip(gens, steps):
             assert step(start) == g.apply(x)._key()
+    # one pairing is one pair of functions, however the pair was built
+    assert is_board(_key_walk([gol, GridRuleMap(build_local_rule(), (pair, unpair))], block)[0])
 
 
 def test_an_empty_image_is_the_empty_key():

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import orbitkit
-from orbitkit import dynamics, life, lifepoly, turing
+from orbitkit import cli, dynamics, life, lifepoly, turing
 from orbitkit.cli import CliInputError, main, parse_component_map
 from orbitkit.dynamics import FiniteComponentMap, SparsePoint
-from orbitkit.polymap import Polynomial, variable
+from orbitkit.polymap import Polynomial, PolyParseError, variable
 
 from helpers import BLINKER_RLE, BLOCK_RLE, EMPTY_RLE, GLIDER, GLIDER_RLE, TOAD_RLE, count_calls
 from test_turing import ACCEPT_ON_START, RIGHT_MOVER, RIGHT_WRITER, STAY_LEFT_LOOPER, WRITER
@@ -1029,9 +1029,12 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 TOO_LONG = "1" * (DIGIT_LIMIT + 1)
 
 
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
+                                       reason="the interpreter sets no integer digit limit")
+
+
 def past_digit_limit(files, args):
-    return pytest.param(files, args, marks=pytest.mark.skipif(
-        not DIGIT_LIMIT, reason="the interpreter sets no integer digit limit"))
+    return pytest.param(files, args, marks=needs_digit_limit)
 
 
 # every input is read and parsed before the first report line, so no error leaves
@@ -1070,6 +1073,7 @@ def past_digit_limit(files, args):
         past_digit_limit({"m.map": f"{TOO_LONG}: x0\n"}, [*POINT, "m.map"]),
         past_digit_limit({"m.map": f"0: x0^{TOO_LONG}\n"}, [*POINT, "m.map"]),
         past_digit_limit({"m.map": f"0: x{TOO_LONG}\n"}, [*POINT, "m.map"]),
+        past_digit_limit({"s.rle": f"x = {TOO_LONG}, y = 1\no!"}, ["life", "run", "s.rle"]),
     ],
     ids=["blank-not-in-tape", "input-not-in-tape", "move-X", "two-start-states",
          "run-word-with-blank", "periodicity-word-with-x", "rle-count-before-end",
@@ -1079,7 +1083,8 @@ def past_digit_limit(files, args):
          "stdin-as-point-and-map", "stdin-as-pattern-and-map", "stdin-as-two-maps",
          "stdin-closed", "point-value-past-digit-limit", "point-index-past-digit-limit",
          "map-coefficient-past-digit-limit", "map-coordinate-past-digit-limit",
-         "poly-exponent-past-digit-limit", "poly-variable-past-digit-limit"],
+         "poly-exponent-past-digit-limit", "poly-variable-past-digit-limit",
+         "rle-header-past-digit-limit"],
 )
 def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -1094,3 +1099,37 @@ def test_input_error_prints_nothing_on_stdout(files, args, tmp_path, monkeypatch
     assert out == ""
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+    # each reader names the input, not the interpreter setting that int() names
+    assert "set_int_max_str_digits" not in err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "read, text, error, where",
+    [
+        (life.parse_rle, f"x = {TOO_LONG}, y = 1\no!", life.RleParseError, r"\(line 1, column 1\)"),
+        (dynamics.parse_point, f"3:{TOO_LONG}", dynamics.PointParseError, "in token '3:1111"),
+        (cli.parse_poly, f"x0 + x{TOO_LONG}", PolyParseError, "in term 'x1111"),
+        (parse_component_map, f"0: x0\n{TOO_LONG}: x0\n", CliInputError, "on line 2 "),
+    ],
+    ids=["rle-header", "point-value", "poly-variable", "map-coordinate"],
+)
+def test_numeral_past_the_digit_limit_is_the_readers_own_error(read, text, error, where):
+    with pytest.raises(error, match=where) as exc:
+        read(text)
+    assert "too many digits" in str(exc.value)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("args", [[*POINT, "gol", "--max-steps", TOO_LONG],
+                                  ["verify", "--seed", TOO_LONG]], ids=["max-steps", "seed"])
+def test_integer_option_past_the_digit_limit_is_usage_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pt").write_text("0:1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert f"error: argument {args[-2]}: invalid int value: '1111" in err
+    assert "set_int_max_str_digits" not in err

@@ -13,7 +13,6 @@ from orbitkit.dynamics import (
     NEIGHBOR_OFFSETS,
     FiniteComponentMap,
     GridRuleMap,
-    PairingSpec,
     PointParseError,
     SparsePoint,
     _key_walk,
@@ -226,10 +225,7 @@ def test_grid_rule_malformed_point():
             raise ValueError("odd index")
         return unpair(n // 2)
 
-    spec = PairingSpec(
-        name="even-only", forward=lambda a, b: 2 * pair(a, b), inverse=gappy_inverse
-    )
-    m = GridRuleMap(variable(0), spec)
+    m = GridRuleMap(variable(0), (lambda a, b: 2 * pair(a, b), gappy_inverse))
     assert m.apply(SparsePoint({4: 1})).support() == frozenset({4})
     with pytest.raises(ValueError, match="odd index"):
         m.apply(SparsePoint({3: 1}))
@@ -242,7 +238,7 @@ def test_grid_rule_malformed_point_on_the_generic_path(value):
             raise ValueError("outside the image")
         return unpair(n)
 
-    m = GridRuleMap(variable(0), PairingSpec(name="small", forward=pair, inverse=small_inverse))
+    m = GridRuleMap(variable(0), (pair, small_inverse))
     assert m.apply(SparsePoint({4: value})) == SparsePoint({4: value})
     with pytest.raises(ValueError, match="outside the image"):
         m.apply(SparsePoint({4: value, 11: 1}))

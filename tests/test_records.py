@@ -1,4 +1,4 @@
-"""The seven value records: verdicts, the pairing spec and the machine description.
+"""The six value records: the verdicts and the machine description.
 
 Each is immutable, compares only with its own type, hashes consistently
 with ``==`` and keeps the ``Name(field=value, ...)`` repr it has always had.
@@ -10,8 +10,6 @@ import re
 import pytest
 
 from orbitkit.cycles import Exhausted, Periodic, Terminated
-from orbitkit.dynamics import PairingSpec
-from orbitkit.lifepoly import pair, unpair
 from orbitkit.orbit import Stable, Unknown
 from orbitkit.turing import TMDesc
 
@@ -27,7 +25,7 @@ def machine(**changes):
 M = machine()
 RECORDS = [
     Periodic(1, 2), Terminated(3), Exhausted(3), Stable(2), Stable(2, (0, 2)),
-    Unknown(2, "budget"), PairingSpec("cantor", pair, unpair), M,
+    Unknown(2, "budget"), M,
 ]
 
 
@@ -47,16 +45,11 @@ REPR_CASES = [
     (Stable(2), "Stable(orbit_size=2, witness=None)"),
     (Stable(2, (0, 2)), "Stable(orbit_size=2, witness=(0, 2))"),
     (Unknown(5, "budget"), "Unknown(points_explored=5, budget_hit='budget')"),
-    (PairingSpec("cantor", pair, unpair),
-     f"PairingSpec(name='cantor', forward={pair!r}, inverse={unpair!r})"),
 ] + [(M, TM_REPR.format(", ".join(map(repr, order)))) for order in TM_ORDERS]
-# Fixed ids: the last reprs hold function addresses and a frozenset in hash
-# order, so ids taken from repr() would change from process to process.
+# Fixed ids: the machine's reprs hold a frozenset in hash order, so ids taken
+# from repr() would change from process to process.
 REPR_IDS = [f"record{i}-{text}" for i, (_, text) in enumerate(REPR_CASES[:6])] + [
-    "record6-PairingSpec(name='cantor', forward=<function pair at ...>, "
-    "inverse=<function unpair at ...>)",
-] + [f"record7-{text[:text.index('input_alphabet=') + 26]} ...)"
-     for _, text in REPR_CASES[7:]]
+    f"record7-{text[:text.index('input_alphabet=') + 26]} ...)" for _, text in REPR_CASES[6:]]
 
 
 def states_sorted(text):
@@ -82,8 +75,6 @@ def test_keyword_and_positional_construction_agree():
     assert Stable(orbit_size=2, witness=(0, 2)) == Stable(2, (0, 2))
     assert Stable(2).witness is None
     assert Unknown(points_explored=2, budget_hit="budget") == Unknown(2, "budget")
-    assert PairingSpec(name="cantor", forward=pair, inverse=unpair) == PairingSpec(
-        "cantor", pair, unpair)
     assert TMDesc(M.states, M.input_alphabet, M.tape_alphabet, M.blank, M.transitions,
                   M.start, M.accept, M.reject) == M
 
@@ -107,7 +98,7 @@ def test_hash_agrees_with_equality():
 
 @pytest.mark.parametrize(
     "record, name",
-    zip(RECORDS, ["period", "steps", "budget", "orbit_size", "witness", "budget_hit", "name",
+    zip(RECORDS, ["period", "steps", "budget", "orbit_size", "witness", "budget_hit",
                   "transitions"]),
     ids=[type(r).__name__ for r in RECORDS],
 )
@@ -118,13 +109,6 @@ def test_records_are_immutable(record, name):
         delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = 0
-
-
-def test_pairing_spec_compares_and_hashes_by_name_only():
-    a = PairingSpec("cantor", pair, unpair)
-    b = PairingSpec("cantor", lambda a, b: 0, lambda n: (0, 0))
-    assert a == b and hash(a) == hash(b)
-    assert a != PairingSpec("other", pair, unpair)
 
 
 def test_machine_hash_leaves_the_table_out():
