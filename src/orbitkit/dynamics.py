@@ -24,7 +24,7 @@ There is one board format.  :func:`_board` packs the live cells of a 0/1
 point into one int at a row stride of the box width plus 2, rounded up
 to 16, while that int holds at most ``_BOARD_BITS_PER_CELL`` (1,024) bits
 per live cell; :meth:`GridRuleMap._image` runs the diagram on a board,
-and :func:`_unpack` reads a board back.  ``apply`` steps a dense 0/1
+and :func:`_cells` reads a board's cells back.  ``apply`` steps a dense 0/1
 point that way, and so do the walks in :mod:`orbitkit.orbit`, which keep
 points as keys and step them through :func:`_key_walk`, one function per
 generator, in one of three key kinds: byte codes of the start's values
@@ -309,18 +309,20 @@ def _board(cells) -> Union[tuple, None]:
     return x0, y0, stride, int.from_bytes(packed, "little")
 
 
-def _unpack(key, forward) -> dict:
-    """The entries of the 0/1 point of board ``key``, whose cells all lie in the
-    quadrant."""
+def _cells(key):
+    """The cells (a, b) of board ``key``, in bit order."""
     x0, y0, stride, board = key
-    out: dict[int, int] = {}
     bits = bin(board)[:1:-1]  # bit p at bits[p]
     p = bits.find("1")
     while p != -1:
-        b, a = divmod(p, stride)
-        out[forward(x0 + a, y0 + b)] = 1
+        yield x0 + p % stride, y0 + p // stride
         p = bits.find("1", p + 1)
-    return out
+
+
+def _unpack(key, forward) -> dict:
+    """The entries of the 0/1 point of board ``key``, whose cells all lie in the
+    quadrant."""
+    return {forward(a, b): 1 for a, b in _cells(key)}
 
 
 class GridRuleMap:
@@ -462,62 +464,6 @@ def _signed_permutation(g: PolyMapDesc, slot: dict) -> Union[list, None]:
     return source
 
 
-def _restride(board, stride, new, height) -> int:
-    """``board`` of ``height`` rows moved from one row stride to another, both
-    multiples of 8 and wider than every row's live cells."""
-    n, m = stride >> 3, new >> 3
-    rows = board.to_bytes(n * height, "little")
-    return int.from_bytes(
-        b"".join(rows[i:i + n][:m].ljust(m, b"\0") for i in range(0, n * height, n)), "little")
-
-
-def _board_walk(generators, x) -> tuple:
-    """:func:`_key_walk`'s boards, for :class:`GridRuleMap` generators of one
-    pairing that have a diagram, from a nonempty 0/1 point."""
-    forward, inverse = generators[0]._pairing
-    empty = SparsePoint()._key()
-
-    def keyed(y, layout=()):
-        return _board(list(map(inverse, y._entries))) or y._key(layout)
-
-    def point(key):
-        if type(key[0]) is tuple:
-            return SparsePoint._from_key(key)
-        return SparsePoint._raw(_unpack(key, forward))
-
-    def walker(g):
-        apply, image = g.apply, g._image
-
-        def step(key):
-            if type(key[0]) is tuple:
-                return keyed(apply(SparsePoint._from_key(key)), key[0])
-            x0, y0, stride, board = image(key)
-            if not board:
-                return empty
-            # the tight box: its rows from the lowest and highest bits, its
-            # columns from the OR of all rows, folded in halves
-            rows = (board.bit_length() - 1) // stride + 1
-            top = ((board & -board).bit_length() - 1) // stride
-            height, fold = rows - top, board
-            while rows > 1:
-                rows = rows + 1 >> 1
-                half = rows * stride
-                fold = fold >> half | fold & (1 << half) - 1
-            left = (fold & -fold).bit_length() - 1
-            board >>= top * stride + left
-            new = fold.bit_length() - left + 17 & -16  # the stride rule of _board
-            if new != stride:
-                board = _restride(board, stride, new, height)
-            key = x0 + left, y0 + top, new, board
-            if new * height > _BOARD_BITS_PER_CELL * board.bit_count():
-                return point(key)._key()
-            return key
-
-        return step
-
-    return keyed(x), [walker(g) for g in generators], point
-
-
 def _key_walk(generators: list, x: SparsePoint) -> tuple:
     """The start key of a walk from ``x``, one step per generator from a key to
     its image's key, and the function from a key back to its point.  Keys come
@@ -535,13 +481,16 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       whose table takes only 0 and 1, and ``x`` is a nonempty 0/1 point, every
       point of the orbit is a 0/1 point.  A point that :func:`_board`
       frames is keyed by its board ``(x0, y0, stride, board)``.  A step
-      runs :meth:`GridRuleMap._image` on the board, finds the new tight box
-      by folding the rows in halves, and re-frames the board: one shift
-      when the stride is unchanged.  A board costs 4 bytes per 30 bits, so
-      a key at 1,024 bits per live cell costs about 137 bytes per live
-      cell, up to about 2.9 times the tuple key of its point; a singleton
-      walk stores every key it meets, so the limit bounds each key, not
-      the walk.
+      runs :meth:`GridRuleMap._image` on the board and finds the image's
+      tight box by folding the rows in halves.  When the box keeps the
+      stride and the board still holds at most ``_BOARD_BITS_PER_CELL``
+      bits per live cell, the key is the image shifted to the box; any
+      other image, empty, at a new stride or too sparse, is re-keyed from
+      its cells by :func:`_board`, and takes a tuple key when that declines.
+      A board costs 4 bytes per 30 bits, so a key at 1,024 bits per live
+      cell costs about 137 bytes per live cell, up to about 2.9 times the
+      tuple key of its point; a singleton walk stores every key it meets,
+      so the limit bounds each key, not the walk.
       Any other point of such a walk, sparse or empty, keeps a tuple key and
       steps through ``apply``; the kind depends on the point alone.
     * *Tuples.*  Every other walk keys points with :meth:`SparsePoint._key`
@@ -549,10 +498,6 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       keying the image with the source's layout object, shared when the
       layout is unchanged.  A point of a Life walk costs about 44 to 48 bytes
       per live cell this way, mostly its coordinate ints."""
-    if x and set(x._entries.values()) == {1} and all(
-            isinstance(g, GridRuleMap) and g._pairing == generators[0]._pairing
-            and g._diagram for g in generators):
-        return _board_walk(generators, x)
     start = x._key()
     layout = start[0]
     slot = {coord: i for i, coord in enumerate(layout)}
@@ -561,12 +506,49 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
     # itemgetter of one index returns the item, not a tuple, and a walk from
     # fewer than two coordinates stores next to nothing either way
     if len(layout) < 2 or len(magnitudes) > 128 or None in plans:
-        from_key = SparsePoint._from_key
+        boards = set(start[1:]) == {1} and all(
+            isinstance(g, GridRuleMap) and g._pairing == generators[0]._pairing
+            and g._diagram for g in generators)
+        keyed, from_key = SparsePoint._key, SparsePoint._from_key
+        if boards:
+            forward, inverse = generators[0]._pairing
 
-        def rebuild(apply):
-            return lambda key: apply(from_key(key))._key(key[0])
+            def keyed(y, layout=()):
+                return _board(list(map(inverse, y._entries))) or y._key(layout)
 
-        return start, [rebuild(g.apply) for g in generators], from_key
+        def point(key):
+            if type(key[0]) is tuple:
+                return from_key(key)
+            return SparsePoint._raw(_unpack(key, forward))
+
+        def walker(g):
+            apply, image = g.apply, boards and g._image
+
+            def step(key):
+                if type(key[0]) is tuple:
+                    return keyed(apply(from_key(key)), key[0])
+                key = image(key)
+                x0, y0, stride, board = key
+                if board:
+                    # the tight box: its rows from the lowest and highest bits,
+                    # its columns from the OR of all rows, folded in halves
+                    rows = (board.bit_length() - 1) // stride + 1
+                    top = ((board & -board).bit_length() - 1) // stride
+                    height, fold = rows - top, board
+                    while rows > 1:
+                        rows = rows + 1 >> 1
+                        half = rows * stride
+                        fold = fold >> half | fold & (1 << half) - 1
+                    left = (fold & -fold).bit_length() - 1
+                    # the stride and density rules of _board
+                    if (fold.bit_length() - left + 17 & -16 == stride
+                            and stride * height <= _BOARD_BITS_PER_CELL * board.bit_count()):
+                        return x0 + left, y0 + top, stride, board >> top * stride + left
+                return _board(list(_cells(key))) or point(key)._key()
+
+            return step
+
+        return keyed(x), [walker(g) for g in generators], point
     flip = bytes(c ^ 1 for c in range(256))
 
     def gather(source):

@@ -122,11 +122,12 @@ def orbit_closure(
     Stable exactly when the frontier empties within the limits; the
     reported orbit size counts x itself (the monoid's identity element).
     Each visited point is kept as one key, about 75 to 90 bytes for 7 or 8
-    coordinates under swaps, cycles and sign flips (see the module
-    docstring), so ``max_points`` bounds the closure's memory as well as
-    its work.  A walk of codes holds besides them one gather per generator
-    and one table of twice as many values as the start has distinct
-    absolute values, so the bound holds for those too.
+    coordinates under swaps, cycles and sign flips (see
+    :func:`~orbitkit.dynamics._key_walk`), so ``max_points`` bounds the
+    closure's memory as well as its work.  A walk of codes holds besides
+    them one gather per generator and one table of twice as many values
+    as the start has distinct absolute values, so the bound holds for
+    those too.
     """
     verdict, _, _ = _explore(generators, x, max_points, max_depth)
     return verdict

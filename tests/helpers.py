@@ -1,10 +1,10 @@
 """Shared test data and independent reference implementations."""
 
 from orbitkit.cycles import Exhausted, Periodic, Terminated, detect_hashset
-from orbitkit.dynamics import NEIGHBOR_OFFSETS, SparsePoint
+from orbitkit.dynamics import NEIGHBOR_OFFSETS, FiniteComponentMap, SparsePoint
 from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
 from orbitkit.orbit import Stable, Unknown
-from orbitkit.polymap import constant, variable
+from orbitkit.polymap import Polynomial, constant, variable
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -67,6 +67,16 @@ def reference_step(cells):
     candidates = set(cells).union(*map(neighbors, cells))
     return frozenset(c for c in candidates
                      if neighbor_count(cells, c) == 3 or (c in cells and neighbor_count(cells, c) == 2))
+
+
+def reference_next_state(bits):
+    """Life's next state of the center ``bits[0]`` of a 3x3 neighborhood, written
+    out directly from the update rules: birth on 3 live neighbors, survival on
+    2 or 3, death otherwise."""
+    live = sum(bits[1:])
+    if bits[0] == 1:
+        return 1 if live in (2, 3) else 0
+    return 1 if live == 3 else 0
 
 
 def pattern_factors(bits):
@@ -175,6 +185,22 @@ def count_calls(monkeypatch, cls, *names):
 
         monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def random_component_map(rng):
+    """A map on coordinates 0 and 1: each gets, with probability 0.85, a sum of
+    one to three terms in x0 and x1 of degree at most 1 or 2, with coefficients
+    from -2 to 2."""
+    comps = {}
+    for coord in range(2):
+        if rng.random() < 0.85:
+            terms = []
+            max_deg = 1 if rng.random() < 0.5 else 2
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple((rng.randrange(2), 1) for _ in range(rng.randint(0, max_deg)))
+                terms.append((mono, rng.randint(-2, 2)))
+            comps[coord] = Polynomial(terms)
+    return FiniteComponentMap(comps)
 
 
 def reference_component_apply(m, point):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see them).
 
-Every expected value is computed by an independent route inside this
-module: a hand-written next-state table, a dense-array grid engine, the
+Every expected value is computed by an independent route, here or in
+``helpers``: a hand-written next-state table, a dense-array grid engine, the
 combinatorial neighbor counts, the hash-set walk as oracle for Brent,
 and the grid engine as oracle for the polynomial map.
 """
@@ -14,8 +14,7 @@ from itertools import product
 from math import comb
 
 from orbitkit import cycles, life, lifepoly, orbit
-from orbitkit.dynamics import FiniteComponentMap, SparsePoint, iterate
-from orbitkit.polymap import Polynomial
+from orbitkit.dynamics import SparsePoint, iterate
 from orbitkit.turing import initial_config, parse_tm, step_fn
 
 from helpers import (
@@ -26,6 +25,8 @@ from helpers import (
     dense_step,
     pattern_factors,
     pattern_term,
+    random_component_map,
+    reference_next_state,
     reference_pattern_sum,
     rho_step,
     total_degree,
@@ -41,14 +42,6 @@ def criterion(number, title):
         print(f"ACCEPTANCE {number} FAIL {title}")
         raise
     print(f"ACCEPTANCE {number} PASS {title}")
-
-
-def reference_next_state(bits):
-    """Birth/Survival/Death, written out directly from the update rules."""
-    live_neighbors = sum(bits[1:])
-    if bits[0] == 1:
-        return 1 if live_neighbors == 2 or live_neighbors == 3 else 0
-    return 1 if live_neighbors == 3 else 0
 
 
 def test_criterion_1_truth_table_exact():
@@ -148,25 +141,12 @@ def test_criterion_6_turing_semantics():
         assert cycles.detect_hashset(step_fn(accepter), start, 100) == cycles.Terminated(0)
 
 
-def _random_component_map(rng):
-    comps = {}
-    for coord in range(2):
-        if rng.random() < 0.85:
-            terms = []
-            max_deg = 1 if rng.random() < 0.5 else 2
-            for _ in range(rng.randint(1, 3)):
-                mono = tuple((rng.randrange(2), 1) for _ in range(rng.randint(0, max_deg)))
-                terms.append((mono, rng.randint(-2, 2)))
-            comps[coord] = Polynomial(terms)
-    return FiniteComponentMap(comps)
-
-
 def test_criterion_7_singleton_consistency():
     with criterion(7, "orbit closure agrees with singleton cycle detection on 50 random maps"):
         rng = random.Random(20240811)
         stable_cases = 0
         for _ in range(50):
-            f = _random_component_map(rng)
+            f = random_component_map(rng)
             x = SparsePoint({c: rng.randint(-3, 3) for c in range(2)})
             singleton = orbit.is_stable_singleton(f, x, 16)
             closure = orbit.orbit_closure([f], x, max_points=16, max_depth=16)
@@ -181,7 +161,7 @@ def test_criterion_8_finite_support_and_value_range():
     with criterion(8, "100k fuzzed applies store no zeros; encoded configs stay 0/1"):
         rng = random.Random(99)
         applications = 0
-        maps = [_random_component_map(rng) for _ in range(200)]
+        maps = [random_component_map(rng) for _ in range(200)]
         for f in maps:
             for _ in range(475):
                 x = SparsePoint(

@@ -107,6 +107,28 @@ def test_a_board_key_is_its_tight_box_at_a_stride_of_16():
     assert step(start) == (0, 5, 16, 0b11)
     assert _key_walk([gol], encode({(a, 0) for a in range(14)}))[0][2] == 16
     assert _key_walk([gol], encode({(a, 0) for a in range(15)}))[0][2] == 32
+    # a 15-cell row needs a stride of 32, and its image, 13 cells wide, one of 16
+    start, [step], _ = _key_walk([gol], encode({(a, 5) for a in range(1, 16)}))
+    assert start[2] == 32
+    assert step(start) == (2, 4, 16, 0x1fff1fff1fff)
+
+
+def test_a_board_key_leaves_the_board_kind_at_an_unchanged_stride():
+    gol = build_gol_map()
+    # a block and, 700 rows below it, a lightweight spaceship heading down: the
+    # box keeps a stride of 16 and outgrows 1,024 bits a live cell on the way
+    lwss = life.parse_rle("x = 4, y = 5\nobo$3bo$3bo$o2bo$b3o!")
+    x = encode(life.translate(BLOCK, 3, 3) | life.translate(lwss, 3, 700))
+    key, [step], point = _key_walk([gol], x)
+    y, strides = x, set()
+    for _ in range(400):
+        image = step(key)
+        y = gol.apply(y)
+        assert point(image) == y and image == _key_walk([gol], y)[0]
+        if is_board(key) and not is_board(image):
+            strides.add(key[2])
+        key = image
+    assert strides == {16}
 
 
 def test_tuple_keys_where_no_board_walk_applies():

@@ -114,6 +114,7 @@ def test_sparse_point_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    assert (a == {0: 1, 5: -3}) is False and (a == "0:1 5:-3") is False
 
 
 def test_sparse_point_refuses_iteration_at_once():
@@ -170,6 +171,15 @@ def test_identity_component_map():
     m = FiniteComponentMap({})
     x = SparsePoint({0: 3, 4: -1})
     assert m.apply(x) == x
+
+
+def test_map_reprs_are_pinned():
+    m = FiniteComponentMap({3: variable(0) * variable(1), 0: 5})
+    assert repr(m) == "<FiniteComponentMap {0: 5, 3: 1*x0*x1}>"
+    assert repr(FiniteComponentMap({})) == "<FiniteComponentMap {}>"
+    assert repr(build_gol_map()) == "<GridRuleMap rule_terms=466>"
+    rule = variable(2) + variable(0) * variable(8)
+    assert repr(GridRuleMap(rule, cantor_pairing())) == "<GridRuleMap rule_terms=2>"
 
 
 def test_single_coordinate_square():

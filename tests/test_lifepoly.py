@@ -32,19 +32,12 @@ from helpers import (
     count_calls,
     pattern_factors,
     pattern_term,
+    reference_next_state,
     reference_pattern_sum,
 )
 
 ALL_INPUTS = tuple(product((0, 1), repeat=9))
 BIRTH_PROBE = (0, 1, 1, 1, 0, 0, 0, 0, 0)
-
-
-def reference_next_state(bits):
-    # stated independently of the library: birth on 3, survival on 2 or 3
-    live = sum(bits[1:])
-    if bits[0] == 1:
-        return 1 if live in (2, 3) else 0
-    return 1 if live == 3 else 0
 
 
 def test_pattern_term_is_the_expected_product():

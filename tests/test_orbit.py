@@ -16,22 +16,18 @@ from orbitkit.orbit import (
     orbit_closure,
     report_line,
 )
-from orbitkit.polymap import Polynomial, constant, variable
+from orbitkit.polymap import constant, variable
 
-from helpers import BLINKER, BLOCK, GLIDER, TOAD, count_calls, reference_closure, reference_singleton
-
-
-def random_component_map(rng):
-    comps = {}
-    for coord in range(2):
-        if rng.random() < 0.85:
-            terms = []
-            max_deg = 1 if rng.random() < 0.5 else 2
-            for _ in range(rng.randint(1, 3)):
-                mono = tuple((rng.randrange(2), 1) for _ in range(rng.randint(0, max_deg)))
-                terms.append((mono, rng.randint(-2, 2)))
-            comps[coord] = Polynomial(terms)
-    return FiniteComponentMap(comps)
+from helpers import (
+    BLINKER,
+    BLOCK,
+    GLIDER,
+    TOAD,
+    count_calls,
+    random_component_map,
+    reference_closure,
+    reference_singleton,
+)
 
 
 def random_start(rng):

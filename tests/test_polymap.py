@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import product
 
@@ -152,6 +153,9 @@ def test_text_format_matches_spec_ordering():
     x0, x1, x4 = variable(0), variable(1), variable(4)
     p = -(x0**2 * x1) + 3 * x4 + 2
     assert p.to_text() == "-1*x0^2*x1 + 3*x4 + 2"
+    assert str(p) == "-1*x0^2*x1 + 3*x4 + 2"
+    assert repr(p) == "<Polynomial -1*x0^2*x1 + 3*x4 + 2>"
+    assert str(Polynomial()) == "0" and repr(Polynomial()) == "<Polynomial 0>"
 
 
 def test_text_format_negative_tail_and_graded_order():
@@ -226,6 +230,17 @@ def test_equality_and_hash_are_value_based():
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
     assert p == p + Polynomial()
+    # only polynomials and ints compare; anything else is unequal, not an error
+    assert (p == "1*x0 + 1") is False and (p == 1.0) is False and p != "x0"
+
+
+@pytest.mark.parametrize("other", ["x", 1.5, None])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_arithmetic_with_a_foreign_type_raises_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(variable(0), other)
+    with pytest.raises(TypeError):
+        op(other, variable(0))
 
 
 def test_constants_hash_like_the_integers_they_equal():

@@ -534,6 +534,7 @@ def test_equality_is_exact_even_when_fingerprints_collide():
     assert a != b
     c = Configuration("q", ((3, "1"), (0, "0")), 1, "_")
     assert a == c and hash(a) == hash(c)
+    assert (a == ("q", {0: "0", 3: "1"}, 1)) is False and (a == "q") is False
     assert repr(c) == "Configuration(state='q', tape=((0, '0'), (3, '1')), head=1)"
 
 
