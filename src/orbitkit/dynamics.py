@@ -143,9 +143,6 @@ class SparsePoint:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoint):
             return NotImplemented
@@ -342,7 +339,8 @@ class GridRuleMap:
     The table holds the rule's value on all 512 0/1 neighborhoods (bit i
     of a mask stands for x_i): each monomial's coefficient sits at the mask
     of its variables (x^k = x on 0/1 inputs) and :func:`subset_transform`
-    adds up every monomial a neighborhood switches on.  When the table
+    adds up every monomial a neighborhood switches on, so entry 0 is the
+    rule's value at zero, which construction checks.  When the table
     takes only 0 and 1, as the Life rule's does, construction also builds
     its reduced ordered decision diagram (Bryant, 1986), an immutable
     tuple of ``(var, lo, hi)`` nodes; the Life rule's has 26 nodes.  Any
@@ -366,16 +364,16 @@ class GridRuleMap:
     __slots__ = ("_rule", "_pairing", "_table", "_diagram")
 
     def __init__(self, rule: Polynomial, pairing: tuple):
-        if rule.evaluate({}) != 0:
-            raise ValueError("local rule must send the all-zero neighborhood to 0")
         high = [v for v in rule.support_vars() if v > 8]
         if high:
             raise ValueError(f"local rule may only use variables x0..x8, found x{min(high)}")
-        self._rule = rule
-        self._pairing = pairing
         self._table = subset_transform(
             ((sum(1 << var for var, _ in mono), coeff) for mono, coeff in rule.terms.items()), 1
         )
+        if self._table[0]:
+            raise ValueError("local rule must send the all-zero neighborhood to 0")
+        self._rule = rule
+        self._pairing = pairing
         self._diagram = _diagram(self._table) if set(self._table) == {0, 1} else None
 
     @property

@@ -121,16 +121,18 @@ def build_local_rule() -> Polynomial:
 
 def pair(a: int, b: int) -> int:
     """Cantor pairing (a + b)(a + b + 1)/2 + b, a bijection from quadrant cells
-    to natural numbers."""
-    if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
+    to natural numbers.  Both arguments must be of type ``int`` itself: a
+    ``bool``, like any other ``int`` subclass, is rejected."""
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
         raise ValueError(f"pair arguments must be natural numbers, got {(a, b)!r}")
     s = a + b
     return s * (s + 1) // 2 + b
 
 
 def unpair(n: int) -> tuple[int, int]:
-    """Exact inverse of :func:`pair`."""
-    if not isinstance(n, int) or n < 0:
+    """Exact inverse of :func:`pair`; like it, rejects a ``bool`` or any other
+    ``int`` subclass."""
+    if type(n) is not int or n < 0:
         raise ValueError(f"unpair argument must be a natural number, got {n!r}")
     s = (isqrt(8 * n + 1) - 1) // 2
     b = n - s * (s + 1) // 2
@@ -140,8 +142,9 @@ def unpair(n: int) -> tuple[int, int]:
 @lru_cache(maxsize=1)
 def cantor_pairing() -> tuple:
     """``(pair, unpair)``, the ``(forward, inverse)`` pair a
-    :class:`~orbitkit.dynamics.GridRuleMap` takes; built once, so every map
-    built from it holds the same pair."""
+    :class:`~orbitkit.dynamics.GridRuleMap` takes.  It is cached so that
+    ``perfbench/tracer.py`` can tell from the cache that no map was built
+    before it wraps ``pair`` and ``unpair``."""
     return pair, unpair
 
 

@@ -20,11 +20,9 @@ Evaluation walks a prefix tree of the canonical monomials: a node keyed
 the coefficient of the monomial that ends there.  A product shared by
 several monomials is computed once, and a variable that reads 0 prunes
 every monomial below it, so a sparse assignment pays only for the terms
-it can switch on.  The tree is built without recursion on the first
-``evaluate`` and cached on the polynomial; it takes no part in equality
-or hashing.  Two threads that race on the first call each build an equal
-tree and the last store wins; a tree is complete before it is stored and
-never mutated after, so a reader never sees a partial one.
+it can switch on.  The tree is built without recursion by both
+constructors, ``__init__`` and ``_raw``, and takes no part in equality or
+hashing.
 
 Text format (round-trippable): terms sorted by total degree, then by
 variable index, e.g. ``-1*x0^2*x1 + 3*x4 + 2``.
@@ -101,14 +99,14 @@ class Polynomial:
                 else:
                     data.pop(key, None)
         self._terms = data
-        self._tree = None
+        self._tree = _monomial_tree(data)
 
     @classmethod
     def _raw(cls, data: dict) -> "Polynomial":
         # data must already be canonical (normalized keys, no zero coefficients)
         p = cls.__new__(cls)
         p._terms = data
-        p._tree = None
+        p._tree = _monomial_tree(data)
         return p
 
     @property
@@ -182,14 +180,9 @@ class Polynomial:
         explicit stack, so a monomial of any length evaluates without
         recursion.  A variable that reads 0 skips its subtree, so only
         variables below a nonzero prefix product are read, and each prefix
-        product is computed once.  The tree is built on the first call and
-        cached; racing threads may each build it, but every stored tree is
-        complete and never changes."""
-        tree = self._tree
-        if tree is None:
-            tree = self._tree = _monomial_tree(self._terms)
+        product is computed once."""
         get = assignment.get
-        total, children = tree
+        total, children = self._tree
         prod = 1
         stack = []
         while True:

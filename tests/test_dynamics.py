@@ -44,6 +44,8 @@ def test_sparse_point_drops_zero_entries():
     assert p[3] == 0
     assert p.get(7) == -2
     assert len(p) == 2
+    assert bool(SparsePoint()) is False and bool(SparsePoint({3: 0})) is False
+    assert bool(SparsePoint({0: 1})) is True
 
 
 def test_sparse_point_validation():
@@ -219,9 +221,17 @@ def test_apply_dispatches():
     assert m.apply(SparsePoint()) == SparsePoint({0: 1})
 
 
-def test_grid_rule_rejects_nonzero_at_zero():
-    with pytest.raises(ValueError):
+def test_grid_rule_rejects_nonzero_at_zero(monkeypatch):
+    with pytest.raises(ValueError, match="all-zero neighborhood"):
         GridRuleMap(variable(0) + 1, cantor_pairing())
+    # the x0..x8 check comes first, and the zero check reads the compiled table
+    with pytest.raises(ValueError, match="found x9"):
+        GridRuleMap(variable(9) + 1, cantor_pairing())
+    rules = [build_local_rule(), cli._corrupted_rule()]
+    calls = count_calls(monkeypatch, Polynomial, "evaluate")
+    for rule in rules:
+        GridRuleMap(rule, cantor_pairing())
+    assert calls == []
 
 
 def test_grid_rule_rejects_high_variables():

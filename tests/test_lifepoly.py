@@ -253,6 +253,15 @@ def test_pair_rejects_negatives():
         pair(-1, 0)
     with pytest.raises(ValueError):
         unpair(-1)
+    # a bool is not taken as an int
+    for a, b in ((True, 2), (2, True), (False, 0)):
+        with pytest.raises(ValueError):
+            pair(a, b)
+    for n in (True, False):
+        with pytest.raises(ValueError):
+            unpair(n)
+    with pytest.raises(ValueError):
+        encode(frozenset({(True, 1)}))
 
 
 def test_encode_examples():

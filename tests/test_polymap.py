@@ -93,9 +93,11 @@ def test_evaluate_matches_the_flat_reference_loop(p, a):
     expected = reference_evaluate(p, a)
     assert p.evaluate(a) == expected
     assert p.evaluate(SparsePoint(a)) == expected
-    # the cached monomial tree takes no part in equality or hashing
-    fresh = Polynomial(p.terms)
-    assert fresh == p and hash(fresh) == hash(p)
+    # both constructors build the monomial tree, and it takes no part in
+    # equality or hashing
+    for fresh in (Polynomial(p.terms), Polynomial._raw(dict(p.terms)), parse_poly(p.to_text())):
+        assert fresh == p and hash(fresh) == hash(p)
+        assert fresh.evaluate(a) == expected
 
 
 def test_a_long_monomial_evaluates_without_recursion():

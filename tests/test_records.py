@@ -37,19 +37,26 @@ TM_REPR = ("TMDesc(states=frozenset({{{}}}), input_alphabet=frozenset(), "
 # machine's repr is pinned once per order of its three states: each case fixes
 # every other character and must match in any process.
 TM_ORDERS = list(itertools.permutations(["q", "qa", "qr"]))
-
-REPR_CASES = [
-    (Periodic(1, 2), "Periodic(preperiod=1, period=2)"),
-    (Terminated(3), "Terminated(steps=3)"),
-    (Exhausted(4), "Exhausted(budget=4)"),
-    (Stable(2), "Stable(orbit_size=2, witness=None)"),
-    (Stable(2, (0, 2)), "Stable(orbit_size=2, witness=(0, 2))"),
-    (Unknown(5, "budget"), "Unknown(points_explored=5, budget_hit='budget')"),
-] + [(M, TM_REPR.format(", ".join(map(repr, order)))) for order in TM_ORDERS]
 # Fixed ids: the machine's reprs hold a frozenset in hash order, so ids taken
 # from repr() would change from process to process.
-REPR_IDS = [f"record{i}-{text}" for i, (_, text) in enumerate(REPR_CASES[:6])] + [
-    f"record7-{text[:text.index('input_alphabet=') + 26]} ...)" for _, text in REPR_CASES[6:]]
+TM_ID = "record7-TMDesc(states=frozenset({{{}}}), input_alphabet=frozenset() ...)"
+
+
+def pinned(n, record, text):
+    """A repr case with its own id, ``record<n>-<text>``, so adding a case
+    renames no other."""
+    return pytest.param(record, text, id=f"record{n}-{text}")
+
+
+REPR_CASES = [
+    pinned(0, Periodic(1, 2), "Periodic(preperiod=1, period=2)"),
+    pinned(1, Terminated(3), "Terminated(steps=3)"),
+    pinned(2, Exhausted(4), "Exhausted(budget=4)"),
+    pinned(3, Stable(2), "Stable(orbit_size=2, witness=None)"),
+    pinned(4, Stable(2, (0, 2)), "Stable(orbit_size=2, witness=(0, 2))"),
+    pinned(5, Unknown(5, "budget"), "Unknown(points_explored=5, budget_hit='budget')"),
+] + [pytest.param(M, TM_REPR.format(states), id=TM_ID.format(states))
+     for states in (", ".join(map(repr, order)) for order in TM_ORDERS)]
 
 
 def states_sorted(text):
@@ -59,7 +66,7 @@ def states_sorted(text):
                   text)
 
 
-@pytest.mark.parametrize("record, text", REPR_CASES, ids=REPR_IDS)
+@pytest.mark.parametrize("record, text", REPR_CASES)
 def test_repr_is_pinned(record, text):
     if isinstance(record, TMDesc):
         assert f"(states={record.states!r}, " in repr(record)
