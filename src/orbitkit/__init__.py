@@ -21,3 +21,12 @@ def __getattr__(name):
 
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _check_int(value, name: str, minimum=None, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an ``int`` itself, not a
+    ``bool`` or any other subclass, and at least ``minimum`` when one is given:
+    the one rule for every integer argument of the library."""
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")

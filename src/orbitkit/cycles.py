@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional, TypeVar, Union
 
+from . import _check_int
+
 __all__ = [
     "CycleVerdict",
     "Exhausted",
@@ -109,8 +111,7 @@ def detect_hashset(step: StepFn, start: S, budget: int) -> CycleVerdict:
     entry, so the collision indices are exactly the minimal preperiod
     and period.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ValueError("budget must be a non-negative integer")
+    _check_int(budget, "budget", 0)
     seen = {start: 0}
     state = start
     for used in range(1, budget + 1):
@@ -134,8 +135,7 @@ def detect_brent(step: StepFn, start: S, budget: int) -> CycleVerdict:
     tail), so under a tight budget it may report Exhausted where the
     hash-set detector succeeds; the budget accounting is still exact.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise ValueError("budget must be a non-negative integer")
+    _check_int(budget, "budget", 0)
     used = 0
 
     def advance(state: S) -> Optional[S]:

@@ -21,10 +21,11 @@ Two map families describe every self-map the toolkit needs:
   expand pattern sets into rules.
 
 There is one board format.  :func:`_board` packs the live cells of a 0/1
-point into one int at a row stride of the box width plus 2, rounded up
-to 16, while that int holds at most ``_BOARD_BITS_PER_CELL`` (1,024) bits
-per live cell; :meth:`GridRuleMap._image` runs the diagram on a board,
-and :func:`_cells` reads a board's cells back.  ``apply`` steps a dense 0/1
+point into one int at the row stride :func:`_stride` gives their box, the
+box width plus 2, rounded up to 16, while that int holds at most
+``_BOARD_BITS_PER_CELL`` (1,024) bits per live cell;
+:meth:`GridRuleMap._image` runs the diagram on a board, and
+:func:`_cells` reads a board's cells back.  ``apply`` steps a dense 0/1
 point that way, and so do the walks in :mod:`orbitkit.orbit`, which keep
 points as keys and step them through :func:`_key_walk`, one function per
 generator, in one of three key kinds: byte codes of the start's values
@@ -44,6 +45,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
+from . import _check_int
 from .polymap import Polynomial, constant
 
 __all__ = [
@@ -95,10 +97,8 @@ class SparsePoint:
         if entries is not None:
             items = entries.items() if isinstance(entries, Mapping) else entries
             for coord, value in items:
-                if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
-                    raise ValueError(f"coordinate must be a natural number, got {coord!r}")
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"value must be an integer, got {value!r}")
+                _check_int(coord, "coordinate", 0)
+                _check_int(value, "value")
                 if value:
                     data[coord] = value
                 else:
@@ -204,9 +204,8 @@ class FiniteComponentMap:
     def __init__(self, components: Mapping[int, Union[Polynomial, int]]):
         table: dict[int, Polynomial] = {}
         for coord, poly in components.items():
-            if not isinstance(coord, int) or isinstance(coord, bool) or coord < 0:
-                raise ValueError(f"component coordinate must be a natural number, got {coord!r}")
-            if isinstance(poly, int) and not isinstance(poly, bool):
+            _check_int(coord, "component coordinate", 0)
+            if type(poly) is int:
                 poly = constant(poly)
             if not isinstance(poly, Polynomial):
                 raise ValueError(f"component for coordinate {coord} must be a Polynomial "
@@ -284,19 +283,28 @@ def _diagram(truth) -> tuple:
     return tuple(nodes)
 
 
+def _stride(width: int, height: int, live: int) -> Union[int, None]:
+    """The row stride of the board of ``live`` cells whose tight box is ``width``
+    by ``height``: the width plus 2, rounded up to a multiple of 16.  None when
+    that board would hold more than ``_BOARD_BITS_PER_CELL`` bits per live cell.
+    :func:`_board` and the board step of :func:`_key_walk` both frame by it."""
+    stride = width + 17 & -16
+    return stride if stride * height <= _BOARD_BITS_PER_CELL * live else None
+
+
 def _board(cells) -> Union[tuple, None]:
     """The board ``(x0, y0, stride, board)`` of a collection of distinct cells:
-    ``(x0, y0)`` is the corner of their tight bounding box, ``stride`` the box
-    width plus 2, rounded up to a multiple of 16, and cell (a, b) is bit
+    ``(x0, y0)`` is the corner of their tight bounding box, ``stride`` is
+    :func:`_stride` of that box, and cell (a, b) is bit
     ``(b - y0) * stride + a - x0`` of ``board``.  None when there are no cells
-    or the board would hold more than ``_BOARD_BITS_PER_CELL`` bits per cell."""
+    or :func:`_stride` declines the box."""
     if not cells:
         return None
     xs, ys = zip(*cells)
     x0, y0 = min(xs), min(ys)
-    stride = max(xs) - x0 + 18 & -16
     height = max(ys) - y0 + 1
-    if stride * height > _BOARD_BITS_PER_CELL * len(cells):
+    stride = _stride(max(xs) - x0 + 1, height, len(cells))
+    if stride is None:
         return None
     low = y0 * stride + x0
     packed = bytearray(height * stride >> 3)
@@ -480,11 +488,11 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
       point of the orbit is a 0/1 point.  A point that :func:`_board`
       frames is keyed by its board ``(x0, y0, stride, board)``.  A step
       runs :meth:`GridRuleMap._image` on the board and finds the image's
-      tight box by folding the rows in halves.  When the box keeps the
-      stride and the board still holds at most ``_BOARD_BITS_PER_CELL``
-      bits per live cell, the key is the image shifted to the box; any
-      other image, empty, at a new stride or too sparse, is re-keyed from
-      its cells by :func:`_board`, and takes a tuple key when that declines.
+      tight box by folding the rows in halves.  When :func:`_stride`, the
+      framing rule of :func:`_board`, gives the box the board's own stride,
+      the key is the image shifted to the box; any other image, empty, at
+      a new stride or too sparse, is re-keyed from its cells by
+      :func:`_board`, and takes a tuple key when that declines.
       A board costs 4 bytes per 30 bits, so a key at 1,024 bits per live
       cell costs about 137 bytes per live cell, up to about 2.9 times the
       tuple key of its point; a singleton walk stores every key it meets,
@@ -538,9 +546,7 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
                         half = rows * stride
                         fold = fold >> half | fold & (1 << half) - 1
                     left = (fold & -fold).bit_length() - 1
-                    # the stride and density rules of _board
-                    if (fold.bit_length() - left + 17 & -16 == stride
-                            and stride * height <= _BOARD_BITS_PER_CELL * board.bit_count()):
+                    if _stride(fold.bit_length() - left, height, board.bit_count()) == stride:
                         return x0 + left, y0 + top, stride, board >> top * stride + left
                 return _board(list(_cells(key))) or point(key)._key()
 
@@ -566,8 +572,7 @@ def _key_walk(generators: list, x: SparsePoint) -> tuple:
 
 def iterate(m: PolyMapDesc, x: SparsePoint, n: int) -> SparsePoint:
     """n-fold application; ``iterate(m, x, 0)`` is ``x``."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("iteration count must be a non-negative integer")
+    _check_int(n, "iteration count", 0)
     for _ in range(n):
         x = m.apply(x)
     return x

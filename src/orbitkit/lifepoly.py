@@ -122,7 +122,9 @@ def build_local_rule() -> Polynomial:
 def pair(a: int, b: int) -> int:
     """Cantor pairing (a + b)(a + b + 1)/2 + b, a bijection from quadrant cells
     to natural numbers.  Both arguments must be of type ``int`` itself: a
-    ``bool``, like any other ``int`` subclass, is rejected."""
+    ``bool``, like any other ``int`` subclass, is rejected.  That is the
+    package's integer rule, ``orbitkit._check_int``, written inline because
+    pairing is on the hot path (about 475k calls per ``verify``)."""
     if type(a) is not int or type(b) is not int or a < 0 or b < 0:
         raise ValueError(f"pair arguments must be natural numbers, got {(a, b)!r}")
     s = a + b
@@ -131,7 +133,8 @@ def pair(a: int, b: int) -> int:
 
 def unpair(n: int) -> tuple[int, int]:
     """Exact inverse of :func:`pair`; like it, rejects a ``bool`` or any other
-    ``int`` subclass."""
+    ``int`` subclass through the package's integer rule, written inline
+    because unpairing is on the hot path."""
     if type(n) is not int or n < 0:
         raise ValueError(f"unpair argument must be a natural number, got {n!r}")
     s = (isqrt(8 * n + 1) - 1) // 2

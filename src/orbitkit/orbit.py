@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from . import cycles
+from . import _check_int, cycles
 from .dynamics import PolyMapDesc, SparsePoint, _key_walk
 
 __all__ = [
@@ -71,8 +71,7 @@ def is_stable_singleton(f: PolyMapDesc, x: SparsePoint, budget: int) -> Stabilit
     A Periodic(preperiod, period) verdict means the orbit is exactly the
     preperiod + period distinct points seen before the first revisit.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValueError("budget must be a positive integer")
+    _check_int(budget, "budget", 1)
     start, [step], _ = _key_walk([f], x)
     verdict = cycles.detect_hashset(step, start, budget)
     if isinstance(verdict, cycles.Periodic):
@@ -87,9 +86,8 @@ def _explore(generators, x, max_points, max_depth):
     gens = list(generators)
     if not gens:
         raise ValueError("generator set must be nonempty")
-    for limit in (max_points, max_depth):
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise ValueError("exploration limits must be positive integers")
+    _check_int(max_points, "max_points", 1)
+    _check_int(max_depth, "max_depth", 1)
     start, steps, point = _key_walk(gens, x)
     visited = {start}
     frontier = [start]

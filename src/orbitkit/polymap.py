@@ -34,6 +34,8 @@ import re
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
+from . import _check_int
+
 __all__ = [
     "Monomial",
     "Polynomial",
@@ -54,10 +56,8 @@ class PolyParseError(ValueError):
 def _normalize_monomial(pairs: Iterable[tuple[int, int]]) -> Monomial:
     merged: dict[int, int] = {}
     for var, exp in pairs:
-        if not isinstance(var, int) or isinstance(var, bool) or var < 0:
-            raise ValueError(f"variable index must be a natural number, got {var!r}")
-        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
+        _check_int(var, "variable index", 0)
+        _check_int(exp, "exponent", 0)
         if exp:
             merged[var] = merged.get(var, 0) + exp
     return tuple(sorted(merged.items()))
@@ -90,8 +90,7 @@ class Polynomial:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                if not isinstance(coeff, int) or isinstance(coeff, bool):
-                    raise ValueError(f"coefficient must be an integer, got {coeff!r}")
+                _check_int(coeff, "coefficient")
                 key = _normalize_monomial(mono)
                 c = data.get(key, 0) + coeff
                 if c:
@@ -159,8 +158,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("polynomial exponent must be a non-negative integer")
+        _check_int(n, "polynomial exponent", 0)
         result = constant(1)
         base = self
         while n:

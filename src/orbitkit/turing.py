@@ -39,6 +39,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from . import _check_int
 from .cycles import _Record
 
 __all__ = [
@@ -124,19 +125,14 @@ class TMDesc(_Record):
 _NIL = ()  # the empty cons list; cells are (symbol, rest) pairs, blank = None
 
 
-def _check_natural(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise TmError(f"{what} must be a natural number, got {value!r}")
-
-
 class Configuration:
     """Machine state, tape contents, and head position; immutable.
 
     ``Configuration(state, tape, head, blank)`` is the one checking
     constructor: ``tape`` is a mapping or (cell, symbol) pairs, every cell
-    and the head must be natural ``int`` values (not ``bool``), else it
-    raises TmError, and cells holding ``blank`` are dropped.  The blank
-    itself is not kept.
+    and the head must be natural ``int`` values (not a ``bool`` or any
+    other subclass), else it raises TmError, and cells holding ``blank``
+    are dropped.  The blank itself is not kept.
 
     The tape is a zipper of persistent cons lists.  ``_left`` holds cells
     head-1, ..., 0 (blanks as None), so its length is exactly ``head``;
@@ -155,10 +151,10 @@ class Configuration:
     __slots__ = ("_state", "_head", "_left", "_right", "_fp")
 
     def __init__(self, state: str, tape: Union[Mapping[int, str], Iterable], head: int, blank: str):
-        _check_natural(head, "head position")
+        _check_int(head, "head position", 0, TmError)
         cells = {}
         for cell, symbol in dict(tape).items():
-            _check_natural(cell, "tape cell")
+            _check_int(cell, "tape cell", 0, TmError)
             if symbol != blank:
                 cells[cell] = symbol
         left = right = _NIL

@@ -4,11 +4,13 @@ import time
 import tracemalloc
 from functools import lru_cache
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitkit import cli, life, orbit
-from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_walk
+from orbitkit.dynamics import (
+    FiniteComponentMap, GridRuleMap, SparsePoint, _board, _cells, _key_walk)
 from orbitkit.lifepoly import build_gol_map, build_local_rule, cantor_pairing, encode, pair, unpair
 from orbitkit.orbit import enumerate_orbit, is_stable_singleton, orbit_closure
 from orbitkit.polymap import variable
@@ -32,6 +34,8 @@ patterns = st.builds(
     st.one_of(st.just(set()), st.builds(lambda a, b: {(a, b)}, st.integers(40, 300),
                                         st.integers(0, 300))),
 )
+# the glider mirrored left to right: it heads down and to the left
+SW_GLIDER = frozenset((2 - a, b) for a, b in GLIDER)
 GUN_RLE = ("x = 36, y = 9\n24bo$22bobo$12b2o6b2o12b2o$11bo3bo4b2o12b2o$2o8bo5bo3b2o$"
            "2o8bo3bob2o4bobo$10bo5bo7bo$11bo3bo$12b2o!")
 
@@ -111,6 +115,27 @@ def test_a_board_key_is_its_tight_box_at_a_stride_of_16():
     start, [step], _ = _key_walk([gol], encode({(a, 5) for a in range(1, 16)}))
     assert start[2] == 32
     assert step(start) == (2, 4, 16, 0x1fff1fff1fff)
+
+
+@pytest.mark.parametrize("cells, steps", [
+    # a block and a blinker whose tight box is 14 and 15 cells wide by turns
+    pytest.param(BLOCK | {(13, 4), (13, 5), (13, 6)}, 4, id="block-and-blinker"),
+    # two gliders that pass each other 10 rows apart, two steps out of phase so
+    # that their box narrows and widens by one cell at a time
+    pytest.param(life.step(life.step(life.translate(GLIDER, 2, 2)))
+                 | life.translate(SW_GLIDER, 20, 12), 60, id="passing-gliders"),
+])
+def test_a_board_step_frames_its_image_as_board_does_across_the_stride_edge(cells, steps):
+    # a tight box 14 cells wide takes a stride of 16, and one 15 wide a stride of 32
+    key, [step], _ = _key_walk([build_gol_map()], encode(cells))
+    framed = []
+    for _ in range(steps):
+        key = step(key)
+        assert key == _board(list(_cells(key)))
+        xs = [a for a, _ in _cells(key)]
+        framed.append((max(xs) - min(xs) + 1, key[2]))
+    crossings = set(zip(framed, framed[1:]))
+    assert ((14, 16), (15, 32)) in crossings and ((15, 32), (14, 16)) in crossings
 
 
 def test_a_board_key_leaves_the_board_kind_at_an_unchanged_stride():

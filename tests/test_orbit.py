@@ -86,7 +86,7 @@ def test_closure_rejects_empty_generators_and_bad_limits():
     # and True would run as a limit of 1
     inc = FiniteComponentMap({0: variable(0) + 1})
     for max_points, max_depth in ((2.5, 50), (50, 2.5), ("2", 50), (True, 50), (50, True)):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
             orbit_closure([inc], SparsePoint({0: 1}), max_points, max_depth)
 
 

@@ -254,7 +254,7 @@ def test_configuration_rejects_a_string_head():
 
 
 def test_configuration_rejects_a_bool_head_and_cell():
-    with pytest.raises(TmError, match="head position must be a natural number, got True"):
+    with pytest.raises(TmError, match="head position must be an integer >= 0, got True"):
         Configuration("q", {}, True, "_")
     with pytest.raises(TmError, match="tape cell"):
         Configuration("q", {False: "1"}, 0, "_")
