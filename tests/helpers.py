@@ -19,6 +19,70 @@ GLIDER_RLE = "x = 3, y = 3\nbob$2bo$3o!"
 TOAD_RLE = "x = 4, y = 2\nb3o$3o!"
 EMPTY_RLE = "x = 0, y = 0\n!"
 
+STAY_LEFT_LOOPER = """
+# writes the blank and pushes left forever; the edge clamp pins it in place
+states: q qa qr
+input: 0
+tape: 0 _
+blank: _
+start: q
+accept: qa
+reject: qr
+q, 0 -> q, _, L
+q, _ -> q, _, L
+"""
+
+RIGHT_MOVER = """
+states: q qa qr
+input: 0
+tape: 0 _
+blank: _
+start: q
+accept: qa
+reject: qr
+q, 0 -> q, 0, R
+q, _ -> q, _, R
+"""
+
+ACCEPT_ON_START = """
+states: qa qr
+input:
+tape: _
+blank: _
+start: qa
+accept: qa
+reject: qr
+"""
+
+WRITER = """
+states: q p qa qr
+input: 0 1
+tape: 0 1 _
+blank: _
+start: q
+accept: qa
+reject: qr
+q, 0 -> p, 1, L
+q, 1 -> qa, 1, R
+q, _ -> qa, _, R
+p, 0 -> qa, 0, R
+p, 1 -> qa, 1, R
+p, _ -> qa, _, R
+"""
+
+RIGHT_WRITER = """
+states: q0 qa qr
+input: 0 1
+tape: 0 1 _
+blank: _
+start: q0
+accept: qa
+reject: qr
+q0, 0 -> q0, 1, R
+q0, 1 -> q0, 1, R
+q0, _ -> q0, 1, R
+"""
+
 
 def dense_step(cells):
     """Reference Life step on a dense padded array; independent of the

@@ -18,9 +18,12 @@ from orbitkit.dynamics import SparsePoint, iterate
 from orbitkit.turing import initial_config, parse_tm, step_fn
 
 from helpers import (
+    ACCEPT_ON_START,
     BLINKER,
     BLOCK,
     GLIDER,
+    RIGHT_MOVER,
+    STAY_LEFT_LOOPER,
     TOAD,
     dense_step,
     pattern_factors,
@@ -31,7 +34,6 @@ from helpers import (
     rho_step,
     total_degree,
 )
-from test_turing import ACCEPT_ON_START, RIGHT_MOVER, STAY_LEFT_LOOPER
 
 
 @contextmanager

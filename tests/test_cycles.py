@@ -14,8 +14,7 @@ from orbitkit.cycles import (
 )
 from orbitkit.turing import initial_config, parse_tm, step_fn
 
-from helpers import rho_step, terminating_step
-from test_turing import WRITER
+from helpers import WRITER, rho_step, terminating_step
 
 
 def test_modular_rotation_is_a_pure_cycle():
@@ -174,20 +173,9 @@ def test_hashset_walk_hashes_each_visited_state_once():
 
 
 def test_budget_validation_and_edge():
+    # a bad budget is a case of tests/test_integer_arguments.py
     assert detect_hashset(lambda n: n + 1, 0, 0) == Exhausted(0)
     assert detect_brent(lambda n: n + 1, 0, 0) == Exhausted(0)
-    with pytest.raises(ValueError):
-        detect_hashset(lambda n: n, 0, -1)
-    with pytest.raises(ValueError):
-        detect_brent(lambda n: n, 0, -1)
-
-
-@pytest.mark.parametrize("detect", [detect_hashset, detect_brent])
-@pytest.mark.parametrize("budget", [True, False])
-def test_budget_rejects_bool(detect, budget):
-    # Exhausted(budget=True) would print a token no parser accepts
-    with pytest.raises(ValueError, match="integer"):
-        detect(lambda n: n + 1, 0, budget)
 
 
 def test_verdict_validation():

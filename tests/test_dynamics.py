@@ -48,17 +48,6 @@ def test_sparse_point_drops_zero_entries():
     assert bool(SparsePoint({0: 1})) is True
 
 
-def test_sparse_point_validation():
-    with pytest.raises(ValueError):
-        SparsePoint({-1: 2})
-    with pytest.raises(ValueError):
-        SparsePoint({0: 1.5})
-    # True would print as "True:5" or "0:True", which parse_point rejects
-    for entries in ({True: 5}, {0: True}, {False: 1}, {1: False}):
-        with pytest.raises(ValueError):
-            SparsePoint(entries)
-
-
 def test_key_is_sorted_coordinates_then_values():
     assert SparsePoint({5: -3, 0: 1})._key() == ((0, 5), 1, -3)
     assert SparsePoint()._key() == ((),)
@@ -80,11 +69,6 @@ def test_from_key_inverts_key(p):
 @given(points, points)
 def test_keys_are_injective(p, q):
     assert (p._key() == q._key()) == (p == q)
-
-
-def test_component_map_rejects_a_bool_coordinate():
-    with pytest.raises(ValueError, match="coordinate"):
-        FiniteComponentMap({True: variable(0)})
 
 
 def test_component_map_rejects_a_component_that_is_no_polynomial():
@@ -209,11 +193,6 @@ def test_iterate():
     x = SparsePoint({0: 1})
     assert iterate(m, x, 0) == x
     assert iterate(m, x, 10) == SparsePoint({0: 1024})
-    with pytest.raises(ValueError):
-        iterate(m, x, -1)
-    for n in (True, False):
-        with pytest.raises(ValueError, match="integer"):
-            iterate(m, x, n)
 
 
 def test_apply_dispatches():

@@ -55,8 +55,10 @@ ENTRY_POINTS = [
                          [pytest.param(*entry[1:], id=entry[0]) for entry in ENTRY_POINTS])
 def test_every_integer_argument_is_an_int_of_at_least_its_minimum(name, minimum, error, call):
     bound = "" if minimum is None else f" >= {minimum}"
-    # a bool and an IntEnum member are ints by isinstance, and equal to a valid value
-    bad = [True, Small.ONE, 2.5] + ([] if minimum is None else [minimum - 1])
+    # _check_int branches on the type and on the bound, so one value of each kind
+    # stands for its kind: bools and an IntEnum member are ints by isinstance and
+    # equal to a valid value, a float is fractional, a str is a numeral
+    bad = [True, False, Small.ONE, 2.5, "1"] + ([] if minimum is None else [minimum - 1])
     for value in bad:
         message = f"{name} must be an integer{bound}, got {value!r}"
         with pytest.raises(error, match=re.escape(message)):

@@ -20,42 +20,15 @@ from orbitkit.turing import (
     trajectory,
 )
 
-from helpers import reference_cycle_verdict, reference_tm_step
-
-STAY_LEFT_LOOPER = """
-# writes the blank and pushes left forever; the edge clamp pins it in place
-states: q qa qr
-input: 0
-tape: 0 _
-blank: _
-start: q
-accept: qa
-reject: qr
-q, 0 -> q, _, L
-q, _ -> q, _, L
-"""
-
-RIGHT_MOVER = """
-states: q qa qr
-input: 0
-tape: 0 _
-blank: _
-start: q
-accept: qa
-reject: qr
-q, 0 -> q, 0, R
-q, _ -> q, _, R
-"""
-
-ACCEPT_ON_START = """
-states: qa qr
-input:
-tape: _
-blank: _
-start: qa
-accept: qa
-reject: qr
-"""
+from helpers import (
+    ACCEPT_ON_START,
+    RIGHT_MOVER,
+    RIGHT_WRITER,
+    STAY_LEFT_LOOPER,
+    WRITER,
+    reference_cycle_verdict,
+    reference_tm_step,
+)
 
 TWO_STATE_LOOPER = """
 states: a b qa qr
@@ -69,36 +42,6 @@ a, 0 -> b, 0, R
 a, _ -> b, _, R
 b, 0 -> a, 0, L
 b, _ -> a, _, L
-"""
-
-WRITER = """
-states: q p qa qr
-input: 0 1
-tape: 0 1 _
-blank: _
-start: q
-accept: qa
-reject: qr
-q, 0 -> p, 1, L
-q, 1 -> qa, 1, R
-q, _ -> qa, _, R
-p, 0 -> qa, 0, R
-p, 1 -> qa, 1, R
-p, _ -> qa, _, R
-"""
-
-
-RIGHT_WRITER = """
-states: q0 qa qr
-input: 0 1
-tape: 0 1 _
-blank: _
-start: q0
-accept: qa
-reject: qr
-q0, 0 -> q0, 1, R
-q0, 1 -> q0, 1, R
-q0, _ -> q0, 1, R
 """
 
 
@@ -230,34 +173,10 @@ def test_configuration_normalization_drops_blanks():
 
 
 def test_configuration_validates_positions():
-    with pytest.raises(TmError):
-        Configuration("q", {-1: "0"}, 0, "_")
-    with pytest.raises(TmError):
-        Configuration("q", {}, -2, "_")
-    with pytest.raises(TmError):
+    # a bad head or cell is a case of tests/test_integer_arguments.py; a negative
+    # cell that holds the blank is checked before blanks are dropped
+    with pytest.raises(TmError, match="tape cell must be an integer >= 0, got -3"):
         Configuration("q", [(2, "0"), (-3, "_")], 1, "_")
-
-
-def test_configuration_rejects_a_fractional_head():
-    with pytest.raises(TmError, match="head position"):
-        Configuration("q", {}, 1.5, "_")
-
-
-def test_configuration_rejects_a_fractional_cell():
-    with pytest.raises(TmError, match="tape cell"):
-        Configuration("q", {1.5: "1"}, 0, "_")
-
-
-def test_configuration_rejects_a_string_head():
-    with pytest.raises(TmError, match="head position"):
-        Configuration("q", {}, "1", "_")
-
-
-def test_configuration_rejects_a_bool_head_and_cell():
-    with pytest.raises(TmError, match="head position must be an integer >= 0, got True"):
-        Configuration("q", {}, True, "_")
-    with pytest.raises(TmError, match="tape cell"):
-        Configuration("q", {False: "1"}, 0, "_")
 
 
 @given(
@@ -485,8 +404,9 @@ def test_zipper_step_matches_dict_tape_reference(machine):
         c = out
         assert (c.state, c.head) == (state, head)
         assert c.tape == tuple(sorted(tape.items()))
+        cells = dict(c.tape)
         for cell in range(max([head, *tape]) + 2):
-            assert dict(c.tape).get(cell, m.blank) == tape.get(cell, m.blank)
+            assert cells.get(cell, m.blank) == tape.get(cell, m.blank)
         same = Configuration(state, tape, head, m.blank)
         assert c == same and hash(c) == hash(same)
 
