@@ -1,10 +1,14 @@
 """Shared test data and independent reference implementations."""
 
+from itertools import product
+
+from orbitkit import orbit
 from orbitkit.cycles import Exhausted, Periodic, Terminated, detect_hashset
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, FiniteComponentMap, SparsePoint
 from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
-from orbitkit.orbit import Stable, Unknown
+from orbitkit.orbit import Stable, Unknown, enumerate_orbit, orbit_closure
 from orbitkit.polymap import Polynomial, constant, variable
+from orbitkit.turing import TMDesc
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
 BLOCK = frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
@@ -199,6 +203,41 @@ def reference_tm_step(m, state, tape, head):
     return state, tape, head + 1 if move == "R" else max(head - 1, 0)
 
 
+def clocked(m):
+    """The paper's first reduction: a machine that never halts, and whose
+    trajectory is eventually periodic exactly when ``m`` halts.  A cell holds
+    ``s.ch``: m's symbol s, a clock bit c and a head flag h; write m's input
+    word as ``s.00`` symbols.  ``I`` flags cell 0 as clock and head.  ``S_q``
+    walks left to the head flag and applies m's rule for q there, clearing the
+    flag.  ``M_q`` flags the cell it arrives at and sets its clock bit if it has
+    none; otherwise ``R_q`` walks right and sets the first clock bit that is 0.
+    So the clock gains a cell with every simulated step, and no configuration
+    repeats while m runs.  A rule into a halting state of m enters ``LOOP``,
+    which walks left to cell 0 and stays there, a fixed point."""
+    working = m.states - {m.accept, m.reject}
+
+    def then(q, phase):
+        return f"{phase}_{q}" if q in working else "LOOP"
+
+    rules = {}
+    for s, c, h in product(m.tape_alphabet, "01", "01"):
+        cell = f"{s}.{c}{h}"
+        rules["I", cell] = (then(m.start, "S"), f"{s}.11", "L")
+        rules["LOOP", cell] = ("LOOP", cell, "L")
+        for q in working:
+            q2, s2, move = m.transitions[q, s]
+            rules[f"S_{q}", cell] = ((then(q2, "M"), f"{s2}.{c}0", move) if h == "1"
+                                     else (f"S_{q}", cell, "L"))
+            rules[f"M_{q}", cell] = (f"{'R' if c == '1' else 'S'}_{q}", f"{s}.11", "R")
+            rules[f"R_{q}", cell] = ((f"R_{q}", cell, "R") if c == "1"
+                                     else (f"S_{q}", f"{s}.1{h}", "L"))
+    # two halting states that no rule enters
+    return TMDesc(states=frozenset({q for q, _ in rules} | {"ACCEPT", "REJECT"}),
+                  input_alphabet=frozenset(f"{s}.00" for s in m.input_alphabet),
+                  tape_alphabet=frozenset(cell for _, cell in rules), blank=f"{m.blank}.00",
+                  transitions=rules, start="I", accept="ACCEPT", reject="REJECT")
+
+
 def reference_cycle_verdict(m, word, budget):
     """Hash-set walk over (state, head, frozenset(tape)) with the budget
     accounting of ``cycles.detect_hashset``."""
@@ -329,6 +368,19 @@ def reference_closure(generators, x, max_points, max_depth):
                     next_frontier.append(y)
         frontier = next_frontier
     return Stable(len(visited)), visited, depth
+
+
+def check_against_reference(gens, x, max_points, max_depth):
+    """``orbit_closure``, the walk's own keys decoded, and ``enumerate_orbit``
+    against :func:`reference_closure`.  Returns the reference verdict."""
+    expected, points, _ = reference_closure(gens, x, max_points, max_depth)
+    assert orbit_closure(gens, x, max_points, max_depth) == expected
+    verdict, keys, point = orbit._explore(gens, x, max_points, max_depth)
+    assert verdict == expected
+    assert {point(key) for key in keys} == points
+    orbit_set = enumerate_orbit(gens, x, max_points, max_depth)
+    assert orbit_set == (frozenset(points) if isinstance(expected, Stable) else None)
+    return expected
 
 
 def reference_singleton(f, x, budget):

@@ -12,10 +12,10 @@ from orbitkit import cli, life, orbit
 from orbitkit.dynamics import (
     FiniteComponentMap, GridRuleMap, SparsePoint, _board, _cells, _key_walk)
 from orbitkit.lifepoly import build_gol_map, build_local_rule, cantor_pairing, encode, pair, unpair
-from orbitkit.orbit import enumerate_orbit, is_stable_singleton, orbit_closure
+from orbitkit.orbit import is_stable_singleton
 from orbitkit.polymap import variable
 
-from helpers import BLINKER, BLOCK, GLIDER, reference_closure, reference_singleton
+from helpers import BLINKER, BLOCK, GLIDER, check_against_reference, reference_singleton
 
 corrupt_map = lru_cache(maxsize=1)(lambda: GridRuleMap(cli._corrupted_rule(), cantor_pairing()))
 # a map over a second pairing, Cantor's with the axes swapped, so a walk of two
@@ -78,13 +78,7 @@ def test_board_singleton_walk_matches_the_point_storing_reference(g, x, budget):
 @given(grid_rules, st.lists(grid_rules, max_size=1), patterns, st.integers(1, 40),
        st.integers(1, 8))
 def test_board_closure_matches_the_point_storing_reference(g, more, x, max_points, max_depth):
-    gens = [g, *more]
-    expected, points, _ = reference_closure(gens, x, max_points, max_depth)
-    assert orbit_closure(gens, x, max_points, max_depth) == expected
-    verdict, keys, point = orbit._explore(gens, x, max_points, max_depth)
-    assert verdict == expected and {point(key) for key in keys} == points
-    orbit_set = enumerate_orbit(gens, x, max_points, max_depth)
-    assert orbit_set == (frozenset(points) if isinstance(expected, orbit.Stable) else None)
+    check_against_reference([g, *more], x, max_points, max_depth)
 
 
 def test_a_walk_changes_key_kind_with_the_point():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import orbitkit
-from orbitkit import cli, dynamics, life, lifepoly, turing
+from orbitkit import cli, cycles, dynamics, life, lifepoly, turing
 from orbitkit.cli import CliInputError, main, parse_component_map
 from orbitkit.dynamics import FiniteComponentMap, SparsePoint
 from orbitkit.polymap import Polynomial, PolyParseError, variable
@@ -247,6 +247,26 @@ def test_orbit_check_glider_unknown(tmp_path, capsys):
     )
     assert code == 0  # Unknown is an honest verdict, not an error
     assert "verdict=unknown points=1001 limit=budget" in out
+
+
+# quadrant_safe=true certifies the first step only, while the verdict rests on every
+# step: a glider heading for the corner, and orbit-soups seed 1's soup8.rle, whose
+# gliders die at the quadrant's edge, both print verdict=stable
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+@pytest.mark.parametrize("rle, shift, budget", [
+    pytest.param("x = 3, y = 3\n3o$o2b$bo!", 3, 100, id="nw-glider"),
+    pytest.param("x = 6, y = 6\nobobo$3o$4o$obo2bo$4b2o$bo!", 116, 1000, id="soup8-seed-1"),
+])
+def test_a_quadrant_safe_verdict_agrees_with_the_engine(tmp_path, capsys, rle, shift, budget):
+    p = tmp_path / "pattern.rle"
+    p.write_text(rle)
+    code, out, _ = run_cli(["orbit", "check", "--encode", str(p), "--map", "gol", "--translate",
+                            str(shift), str(shift), "--max-steps", str(budget)], capsys)
+    assert code == 0
+    if "quadrant_safe=true" in body(out):
+        start = life.translate(life.parse_rle(rle), shift, shift)
+        engine = cycles.detect_hashset(life.step, start, budget)
+        assert ("verdict=stable" in out) == isinstance(engine, cycles.Periodic)
 
 
 def test_orbit_check_component_map_file(tmp_path, capsys):

@@ -23,6 +23,7 @@ from helpers import (
     BLOCK,
     GLIDER,
     TOAD,
+    check_against_reference,
     count_calls,
     random_component_map,
     reference_closure,
@@ -37,12 +38,6 @@ def random_start(rng):
 def test_identity_map_fixed_point():
     verdict = is_stable_singleton(FiniteComponentMap({}), SparsePoint({3: 9}), 10)
     assert verdict == Stable(orbit_size=1, witness=(0, 1))
-
-
-def test_gol_blinker_is_stable_with_period_two():
-    phi = build_gol_map()
-    x = encode(life.translate(BLINKER, 2, 2))
-    assert is_stable_singleton(phi, x, 100) == Stable(orbit_size=2, witness=(0, 2))
 
 
 def test_increment_map_is_unknown():
@@ -107,17 +102,6 @@ generator_lists = st.tuples(st.lists(component_maps, min_size=1, max_size=3),
     lambda parts: st.permutations(parts[0] + parts[1]))
 small_points = st.dictionaries(
     st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4).map(SparsePoint)
-
-
-def check_against_reference(gens, x, max_points, max_depth):
-    expected, points, _ = reference_closure(gens, x, max_points, max_depth)
-    assert orbit_closure(gens, x, max_points, max_depth) == expected
-    verdict, keys, point = orbit._explore(gens, x, max_points, max_depth)
-    assert verdict == expected
-    assert {point(key) for key in keys} == points
-    orbit_set = enumerate_orbit(gens, x, max_points, max_depth)
-    assert orbit_set == (frozenset(points) if isinstance(expected, Stable) else None)
-    return expected
 
 
 @given(generator_lists, small_points, st.integers(1, 40), st.integers(1, 8))
@@ -501,23 +485,6 @@ def test_closure_soundness_audit():
     assert checked >= 5
 
 
-def test_singleton_and_closure_agree_under_matched_budgets():
-    rng = random.Random(20240811)
-    stable_seen = unknown_seen = 0
-    for _ in range(50):
-        f = random_component_map(rng)
-        x = random_start(rng)
-        sv = is_stable_singleton(f, x, 16)
-        cv = orbit_closure([f], x, max_points=16, max_depth=16)
-        assert isinstance(sv, Stable) == isinstance(cv, Stable)
-        if isinstance(sv, Stable):
-            stable_seen += 1
-            assert sv.orbit_size == cv.orbit_size
-        else:
-            unknown_seen += 1
-    assert stable_seen >= 10 and unknown_seen >= 10
-
-
 def test_stable_verdicts_are_budget_monotone():
     rng = random.Random(19)
     for _ in range(40):
@@ -558,13 +525,6 @@ def test_reduction_fidelity_against_life_recurrence():
             expected = (life_verdict.preperiod, life_verdict.period)
             assert poly_verdict.witness == expected
             assert poly_verdict.orbit_size == sum(expected)
-
-
-def test_glider_is_unknown_exact_states_never_recur():
-    phi = build_gol_map()
-    x = encode(life.translate(GLIDER, 10, 10))
-    verdict = is_stable_singleton(phi, x, 1000)
-    assert verdict == Unknown(points_explored=1001, budget_hit="budget")
 
 
 def test_report_lines_exact():

@@ -2,10 +2,10 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from orbitkit.cycles import Exhausted, Periodic, detect_brent, detect_hashset
+from orbitkit.cycles import Exhausted, Periodic, Terminated, detect_brent, detect_hashset
 from orbitkit.turing import (
     Configuration,
     TMDesc,
@@ -26,6 +26,7 @@ from helpers import (
     RIGHT_WRITER,
     STAY_LEFT_LOOPER,
     WRITER,
+    clocked,
     reference_cycle_verdict,
     reference_tm_step,
 )
@@ -226,11 +227,38 @@ def test_parse_word():
         parse_word("02", m)
 
 
-def test_parser_requires_totality_and_names_the_pair():
-    text = TWO_STATE_LOOPER.replace("b, _ -> a, _, L\n", "")
-    with pytest.raises(TmValidationError) as exc:
+# (rejection, a fixture with one edit, the error, a fragment of its message)
+REJECTED_TEXTS = [
+    ("missing-rule", TWO_STATE_LOOPER.replace("b, _ -> a, _, L\n", ""), TmValidationError,
+     "transition missing for state 'b' reading '_'"),
+    ("duplicate-rule", TWO_STATE_LOOPER + "a, 0 -> a, 0, L\n", TmParseError,
+     "duplicate rule for ('a', '0')"),
+    ("unknown-target-state", TWO_STATE_LOOPER.replace("a, 0 -> b, 0, R", "a, 0 -> zz, 0, R"),
+     TmValidationError, "unknown state 'zz'"),
+    ("unknown-written-symbol", TWO_STATE_LOOPER.replace("a, 0 -> b, 0, R", "a, 0 -> b, 9, R"),
+     TmValidationError, "unknown symbol '9'"),
+    ("unknown-start", TWO_STATE_LOOPER.replace("start: a", "start: zz"), TmValidationError,
+     "start state 'zz' is not a declared state"),
+    ("equal-halting-states", ACCEPT_ON_START.replace("reject: qr", "reject: qa"),
+     TmValidationError, "accept and reject states must differ"),
+    ("blank-in-input", ACCEPT_ON_START.replace("input:", "input: _"), TmValidationError,
+     "the blank symbol may not be in the input alphabet"),
+    ("missing-header", "states: q qa qr\n", TmParseError, "missing 'input:' header"),
+    ("not-a-rule", ACCEPT_ON_START + "not a rule line\n", TmParseError,
+     "unrecognized line 9: 'not a rule line'"),
+    ("rule-without-move", ACCEPT_ON_START + "q, 0 -> q, 0\n", TmParseError,
+     "malformed rule (line 9)"),
+    ("duplicate-header", ACCEPT_ON_START + "blank: x\n", TmParseError,
+     "duplicate header 'blank:' (line 9)"),
+]
+
+
+@pytest.mark.parametrize("text, error, fragment",
+                         [pytest.param(*row[1:], id=row[0]) for row in REJECTED_TEXTS])
+def test_parser_rejects_the_text_and_says_why(text, error, fragment):
+    with pytest.raises(error) as exc:
         parse_tm(text)
-    assert "'b'" in str(exc.value) and "'_'" in str(exc.value)
+    assert fragment in str(exc.value)
 
 
 def test_machine_built_directly_must_be_total():
@@ -240,46 +268,6 @@ def test_machine_built_directly_must_be_total():
                tape_alphabet=frozenset({"_"}), blank="_", transitions={},
                start="q", accept="qa", reject="qr")
     assert "'q'" in str(exc.value) and "'_'" in str(exc.value)
-
-
-def test_parser_rejects_duplicate_rule():
-    text = TWO_STATE_LOOPER + "a, 0 -> a, 0, L\n"
-    with pytest.raises(TmParseError) as exc:
-        parse_tm(text)
-    assert "duplicate" in str(exc.value)
-
-
-def test_parser_rejects_unknown_references():
-    with pytest.raises(TmValidationError):
-        parse_tm(TWO_STATE_LOOPER.replace("a, 0 -> b, 0, R", "a, 0 -> zz, 0, R"))
-    with pytest.raises(TmValidationError):
-        parse_tm(TWO_STATE_LOOPER.replace("a, 0 -> b, 0, R", "a, 0 -> b, 9, R"))
-    with pytest.raises(TmValidationError):
-        parse_tm(TWO_STATE_LOOPER.replace("start: a", "start: zz"))
-
-
-def test_parser_rejects_equal_halting_states():
-    text = ACCEPT_ON_START.replace("reject: qr", "reject: qa")
-    with pytest.raises(TmValidationError) as exc:
-        parse_tm(text)
-    assert "differ" in str(exc.value)
-
-
-def test_parser_rejects_blank_in_input_alphabet():
-    text = ACCEPT_ON_START.replace("input:", "input: _")
-    with pytest.raises(TmValidationError):
-        parse_tm(text)
-
-
-def test_parser_rejects_missing_headers_and_bad_lines():
-    with pytest.raises(TmParseError):
-        parse_tm("states: q qa qr\n")
-    with pytest.raises(TmParseError):
-        parse_tm(ACCEPT_ON_START + "not a rule line\n")
-    with pytest.raises(TmParseError):
-        parse_tm(ACCEPT_ON_START + "q, 0 -> q, 0\n")
-    with pytest.raises(TmParseError):
-        parse_tm(ACCEPT_ON_START + "blank: x\n")
 
 
 def test_halting_state_rules_are_ignored():
@@ -424,6 +412,31 @@ def test_detectors_match_reference_walk(machine):
         if isinstance(verdict, Periodic):
             roomy = 8 * (verdict.preperiod + verdict.period) + 8
             assert detect_brent(step, initial_config(m, word), roomy) == verdict
+
+
+@given(machines())
+@example((parse_tm(TWO_STATE_LOOPER), ["0"]))  # cycles with period 2
+@example((parse_tm(WRITER), ["1"]))  # halts after one step
+def test_clocked_machine_is_eventually_periodic_exactly_when_the_machine_halts(machine):
+    m, word = machine
+    budget = 1500
+    cm, cword = clocked(m), [f"{s}.00" for s in word]
+    start, step = initial_config(cm, cword), step_fn(cm)
+    own = detect_hashset(step_fn(m), initial_config(m, word), budget)
+    if isinstance(own, Terminated):
+        # h simulated steps cost at most h^2 + 6h steps, then LOOP walks back to cell 0
+        h = own.steps
+        verdict = detect_hashset(step, start, h * h + 7 * h + 10)
+        assert isinstance(verdict, Periodic) and verdict.period == 1
+        assert detect_brent(step, start, 8 * (verdict.preperiod + 1) + 8) == verdict
+    else:
+        assert detect_hashset(step, start, budget) == Exhausted(budget)
+        assert detect_brent(step, start, budget) == Exhausted(budget)
+    simulated = 0  # each simulated step passes through one M_q configuration
+    for c in islice(trajectory(cm, cword), budget):
+        simulated += c.state.startswith("M_")
+        if c.state.startswith("S_"):
+            assert sum(symbol[-2] == "1" for _, symbol in c.tape) >= simulated + 1
 
 
 def test_hashset_walk_of_a_right_writer_stores_linear_memory():
