@@ -460,7 +460,3 @@ def main(argv=None) -> int:
         elapsed = (time.perf_counter() - started) * 1000
         print(f"walltime_ms={elapsed:.1f}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

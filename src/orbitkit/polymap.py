@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomial arithmetic over the integers.
+"""Sparse multivariate polynomials over the integers: built, multiplied,
+evaluated, compared and read and written as text.
 
 A polynomial is stored canonically: a dict from monomials to nonzero
 integer coefficients, where a monomial is a tuple of ``(variable,
@@ -9,8 +10,8 @@ that, so polynomials work as dict keys and set members.
 
 The constructor is the one place that canonicalizes: it sorts and merges
 each monomial's factors, sums the coefficients of equal monomials and
-drops the zeros.  ``+`` passes it both operands' terms and ``*`` every
-pairwise product of terms, so the operators hold no merge of their own.
+drops the zeros.  ``*`` passes it every pairwise product of terms, so
+it holds no merge of its own.
 
 Coefficients and evaluation use Python's arbitrary-precision integers,
 so iterating polynomial maps never overflows or rounds.
@@ -42,7 +43,6 @@ __all__ = [
     "PolyParseError",
     "constant",
     "parse_poly",
-    "variable",
 ]
 
 # ((var, exp), ...) sorted by var, every exp > 0; () is the constant monomial
@@ -128,26 +128,6 @@ class Polynomial:
             return hash(terms.get((), 0))
         return hash(frozenset(terms.items()))
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Polynomial([*self._terms.items(), *other._terms.items()])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -156,18 +136,6 @@ class Polynomial:
         return Polynomial([(m1 + m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in terms])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        _check_int(n, "polynomial exponent", 0)
-        result = constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def evaluate(self, assignment) -> int:
         """Evaluate at an assignment: any mapping var -> int with a ``get``
@@ -229,11 +197,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<Polynomial {self.to_text()}>"
-
-
-def variable(index: int) -> Polynomial:
-    """The polynomial x<index>."""
-    return Polynomial([(((index, 1),), 1)])
 
 
 def constant(value: int) -> Polynomial:

@@ -7,7 +7,7 @@ from orbitkit.cycles import Exhausted, Periodic, Terminated, detect_hashset
 from orbitkit.dynamics import NEIGHBOR_OFFSETS, FiniteComponentMap, SparsePoint
 from orbitkit.lifepoly import _check_pattern, life_patterns, pair, unpair
 from orbitkit.orbit import Stable, Unknown, enumerate_orbit, orbit_closure
-from orbitkit.polymap import Polynomial, constant, variable
+from orbitkit.polymap import Polynomial, constant, parse_poly
 from orbitkit.turing import TMDesc
 
 BLINKER = frozenset({(0, 0), (1, 0), (2, 0)})
@@ -150,7 +150,7 @@ def reference_next_state(bits):
 def pattern_factors(bits):
     """The nine affine factors of a pattern's indicator product."""
     bits = _check_pattern(bits)
-    return tuple(variable(i) if b else constant(1) - variable(i) for i, b in enumerate(bits))
+    return tuple(parse_poly(f"x{i}" if b else f"1 - x{i}") for i, b in enumerate(bits))
 
 
 def pattern_term(bits):

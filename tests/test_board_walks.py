@@ -13,7 +13,7 @@ from orbitkit.dynamics import (
     FiniteComponentMap, GridRuleMap, SparsePoint, _board, _cells, _key_walk)
 from orbitkit.lifepoly import build_gol_map, build_local_rule, cantor_pairing, encode, pair, unpair
 from orbitkit.orbit import is_stable_singleton
-from orbitkit.polymap import variable
+from orbitkit.polymap import parse_poly
 
 from helpers import BLINKER, BLOCK, GLIDER, check_against_reference, reference_singleton
 
@@ -23,7 +23,7 @@ corrupt_map = lru_cache(maxsize=1)(lambda: GridRuleMap(cli._corrupted_rule(), ca
 # neighbor, a shift that swapping the axes turns into another, so the pairing
 # shows in every image (the Life rule looks the same through either pairing)
 transposed_map = lru_cache(maxsize=1)(lambda: GridRuleMap(
-    variable(2), (lambda a, b: pair(b, a), lambda n: unpair(n)[::-1])))
+    parse_poly("x2"), (lambda a, b: pair(b, a), lambda n: unpair(n)[::-1])))
 grid_rules = st.sampled_from([build_gol_map, corrupt_map, transposed_map]).map(lambda make: make())
 # up to 8x8 live cells at offsets 0-3, so cells reach row 0 and column 0 and the
 # map clips there; a far cell sometimes makes the box too sparse for a board
@@ -154,8 +154,8 @@ def test_tuple_keys_where_no_board_walk_applies():
     gol = build_gol_map()
     block = encode(life.translate(BLOCK, 2, 2))
     with_a_two = SparsePoint({**dict(block.items()), pair(9, 9): 2})
-    doubling = GridRuleMap(2 * variable(0), cantor_pairing())
-    flip = FiniteComponentMap({0: -variable(0)})
+    doubling = GridRuleMap(parse_poly("2*x0"), cantor_pairing())
+    flip = FiniteComponentMap({0: parse_poly("-x0")})
     for gens, x in (([doubling], block), ([gol], with_a_two), ([gol, flip], block),
                     ([gol], SparsePoint()), ([gol, transposed_map()], block)):
         start, steps, point = _key_walk(gens, x)

@@ -29,7 +29,7 @@ from orbitkit.lifepoly import (
     unpair,
 )
 from orbitkit.orbit import Stable, is_stable_singleton, orbit_closure
-from orbitkit.polymap import Polynomial, constant, variable
+from orbitkit.polymap import Polynomial, constant, parse_poly
 
 from helpers import count_calls, reference_component_apply, reference_grid_apply
 
@@ -160,28 +160,28 @@ def test_identity_component_map():
 
 
 def test_map_reprs_are_pinned():
-    m = FiniteComponentMap({3: variable(0) * variable(1), 0: 5})
+    m = FiniteComponentMap({3: parse_poly("x0*x1"), 0: 5})
     assert repr(m) == "<FiniteComponentMap {0: 5, 3: 1*x0*x1}>"
     assert repr(FiniteComponentMap({})) == "<FiniteComponentMap {}>"
     assert repr(build_gol_map()) == "<GridRuleMap rule_terms=466>"
-    rule = variable(2) + variable(0) * variable(8)
+    rule = parse_poly("x2 + x0*x8")
     assert repr(GridRuleMap(rule, cantor_pairing())) == "<GridRuleMap rule_terms=2>"
 
 
 def test_single_coordinate_square():
-    m = FiniteComponentMap({0: variable(0) ** 2})
+    m = FiniteComponentMap({0: parse_poly("x0^2")})
     assert m.apply(SparsePoint({0: 3})) == SparsePoint({0: 9})
 
 
 def test_components_read_the_original_point():
     # a swap map must not see its own partial writes
-    m = FiniteComponentMap({0: variable(1), 1: variable(0)})
+    m = FiniteComponentMap({0: parse_poly("x1"), 1: parse_poly("x0")})
     assert m.apply(SparsePoint({0: 2, 1: 5})) == SparsePoint({0: 5, 1: 2})
 
 
 @given(points)
 def test_component_map_locality(x):
-    m = FiniteComponentMap({0: variable(0) + 1, 1: constant(0)})
+    m = FiniteComponentMap({0: parse_poly("x0 + 1"), 1: constant(0)})
     y = m.apply(x)
     for coord in x.support() | y.support():
         if coord not in (0, 1):
@@ -189,23 +189,23 @@ def test_component_map_locality(x):
 
 
 def test_iterate():
-    m = FiniteComponentMap({0: 2 * variable(0)})
+    m = FiniteComponentMap({0: parse_poly("2*x0")})
     x = SparsePoint({0: 1})
     assert iterate(m, x, 0) == x
     assert iterate(m, x, 10) == SparsePoint({0: 1024})
 
 
 def test_apply_dispatches():
-    m = FiniteComponentMap({0: variable(0) + 1})
+    m = FiniteComponentMap({0: parse_poly("x0 + 1")})
     assert m.apply(SparsePoint()) == SparsePoint({0: 1})
 
 
 def test_grid_rule_rejects_nonzero_at_zero(monkeypatch):
     with pytest.raises(ValueError, match="all-zero neighborhood"):
-        GridRuleMap(variable(0) + 1, cantor_pairing())
+        GridRuleMap(parse_poly("x0 + 1"), cantor_pairing())
     # the x0..x8 check comes first, and the zero check reads the compiled table
     with pytest.raises(ValueError, match="found x9"):
-        GridRuleMap(variable(9) + 1, cantor_pairing())
+        GridRuleMap(parse_poly("x9 + 1"), cantor_pairing())
     rules = [build_local_rule(), cli._corrupted_rule()]
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
     for rule in rules:
@@ -215,7 +215,7 @@ def test_grid_rule_rejects_nonzero_at_zero(monkeypatch):
 
 def test_grid_rule_rejects_high_variables():
     with pytest.raises(ValueError):
-        GridRuleMap(variable(9), cantor_pairing())
+        GridRuleMap(parse_poly("x9"), cantor_pairing())
 
 
 def test_grid_rule_malformed_point():
@@ -224,7 +224,7 @@ def test_grid_rule_malformed_point():
             raise ValueError("odd index")
         return unpair(n // 2)
 
-    m = GridRuleMap(variable(0), (lambda a, b: 2 * pair(a, b), gappy_inverse))
+    m = GridRuleMap(parse_poly("x0"), (lambda a, b: 2 * pair(a, b), gappy_inverse))
     assert m.apply(SparsePoint({4: 1})).support() == frozenset({4})
     with pytest.raises(ValueError, match="odd index"):
         m.apply(SparsePoint({3: 1}))
@@ -237,7 +237,7 @@ def test_grid_rule_malformed_point_on_the_generic_path(value):
             raise ValueError("outside the image")
         return unpair(n)
 
-    m = GridRuleMap(variable(0), (pair, small_inverse))
+    m = GridRuleMap(parse_poly("x0"), (pair, small_inverse))
     assert m.apply(SparsePoint({4: value})) == SparsePoint({4: value})
     with pytest.raises(ValueError, match="outside the image"):
         m.apply(SparsePoint({4: value, 11: 1}))
@@ -245,7 +245,7 @@ def test_grid_rule_malformed_point_on_the_generic_path(value):
 
 def test_grid_rule_shift():
     # rule x1 copies the NW neighbor, so the support translates by (+1, +1)
-    m = GridRuleMap(variable(1), cantor_pairing())
+    m = GridRuleMap(parse_poly("x1"), cantor_pairing())
     x = SparsePoint({pair(2, 2): 5, pair(3, 2): -7})
     y = m.apply(x)
     assert y == SparsePoint({pair(3, 3): 5, pair(4, 3): -7})
@@ -253,7 +253,7 @@ def test_grid_rule_shift():
 
 def test_grid_rule_clips_candidates_to_quadrant():
     # the same shift rule applied at the corner: nothing reads off-quadrant
-    m = GridRuleMap(variable(1), cantor_pairing())
+    m = GridRuleMap(parse_poly("x1"), cantor_pairing())
     y = m.apply(SparsePoint({pair(0, 0): 9}))
     assert y == SparsePoint({pair(1, 1): 9})
 
@@ -302,18 +302,18 @@ def test_component_apply_matches_checking_reference(data):
     x = data.draw(wide_points)
     # moves c*x_j read variables on x's support and off it (those read 0)
     var = st.one_of(st.sampled_from(sorted(x.support() | {13})), st.integers(0, 14))
-    move = st.builds(lambda j, c: c * variable(j), var, st.sampled_from((1, -1, 1, -1, 3)))
+    move = st.builds(lambda j, c: parse_poly(f"{c}*x{j}"), var, st.sampled_from((1, -1, 1, -1, 3)))
     kinds = st.one_of(move, move, st.integers(-2, 2).map(constant), component_polys)
     components = data.draw(st.dictionaries(st.integers(0, 14), kinds, max_size=6))
     if data.draw(st.booleans()):
         coord = data.draw(var)
-        components[coord] = -variable(coord)  # reads the coordinate it writes
+        components[coord] = parse_poly(f"-x{coord}")  # reads the coordinate it writes
     for a, b in data.draw(st.lists(st.tuples(var, var), max_size=2)):
-        components[a], components[b] = variable(b), variable(a)  # a swap
+        components[a], components[b] = parse_poly(f"x{b}"), parse_poly(f"x{a}")  # a swap
     # some components cancel to 0 on x; on x's support that removes the coordinate
     for coord in data.draw(st.sets(st.sampled_from(sorted(set(components) | x.support() | {0})))):
-        poly = components.get(coord, variable(coord))
-        components[coord] = poly - poly.evaluate(x)
+        poly = components.get(coord, parse_poly(f"x{coord}"))
+        components[coord] = Polynomial([*poly.terms.items(), ((), -poly.evaluate(x))])
     m = FiniteComponentMap(components)
     before = list(x.items())
     h = hash(x)
@@ -327,8 +327,7 @@ def test_component_apply_matches_checking_reference(data):
 
 
 def test_component_apply_pin_mixes_moves_and_general_components():
-    m = FiniteComponentMap({0: -variable(0), 1: variable(2), 2: variable(1), 3: 5 * variable(7),
-                            4: variable(0) ** 2 + 1, 6: constant(0)})
+    m = cli.parse_component_map("0: -x0\n1: x2\n2: x1\n3: 5*x7\n4: x0^2 + 1\n6: 0")
     big = 2**100 + 1
     x = SparsePoint({0: big, 1: 3, 2: -7, 6: 9, 7: 4, 9: 11})
     assert m.apply(x) == SparsePoint({0: -big, 1: -7, 2: 3, 3: 20, 4: big**2 + 1, 7: 4, 9: 11})
@@ -340,8 +339,7 @@ def test_component_apply_pin_mixes_moves_and_general_components():
 
 def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
     x = SparsePoint({0: 2**320 + 1, 1: -(2**300), 5: 7})
-    m = FiniteComponentMap({0: variable(1), 1: variable(0), 2: -variable(5),
-                            5: 3 * variable(5), 9: variable(4)})
+    m = cli.parse_component_map("0: x1\n1: x0\n2: -x5\n5: 3*x5\n9: x4")
     expected = SparsePoint({0: -(2**300), 1: 2**320 + 1, 2: -7, 5: 21})
     assert m.apply(x) == expected
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
@@ -351,7 +349,7 @@ def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
     assert calls == ["evaluate"] * 5
     del calls[:]
     # unit moves that keep the layout step a code and skip evaluate
-    signed = FiniteComponentMap({0: variable(1), 1: variable(0), 5: -variable(5), 9: variable(4)})
+    signed = cli.parse_component_map("0: x1\n1: x0\n5: -x5\n9: x4")
     start, [step], point = _key_walk([signed], x)
     assert type(start) is bytes
     y = point(step(start))
@@ -363,8 +361,7 @@ def test_moves_evaluate_nothing_and_share_the_source_ints(monkeypatch):
 
 def test_general_components_are_evaluated_once_each(monkeypatch):
     # apply evaluates every component, the move 4: x2 included
-    m = FiniteComponentMap({0: variable(0) ** 2, 1: variable(0) + variable(1), 2: constant(4),
-                            3: constant(0), 4: variable(2), 5: 2 * variable(0) * variable(1)})
+    m = cli.parse_component_map("0: x0^2\n1: x0 + x1\n2: 4\n3: 0\n4: x2\n5: 2*x0*x1")
     calls = count_calls(monkeypatch, Polynomial, "evaluate")
     assert m.apply(SparsePoint({0: 3, 1: 5, 2: 1})) == SparsePoint({0: 9, 1: 8, 2: 4, 4: 1, 5: 30})
     assert calls == ["evaluate"] * 6
@@ -374,7 +371,7 @@ def test_maps_and_encode_build_points_without_the_checking_constructor(monkeypat
     blinker = frozenset({(2, 1), (2, 2), (2, 3)})
     binary = encode(blinker)
     holding_two = SparsePoint({12: 1, 17: 2, 23: 1})
-    m = FiniteComponentMap({0: variable(1), 1: variable(0) ** 2 + 1, 5: constant(0)})
+    m = cli.parse_component_map("0: x1\n1: x0^2 + 1\n5: 0")
     x = SparsePoint({0: 2, 1: -3, 5: 4})
     gol = build_gol_map()
     calls = count_calls(monkeypatch, SparsePoint, "__init__")
@@ -480,7 +477,7 @@ def test_each_nonzero_table_value_has_its_diagram(name):
         assert node[-1] == (m._table[mask] == 1)
 
 
-@pytest.mark.parametrize("rule", [2 * variable(0), variable(0) + variable(1) * variable(8)],
+@pytest.mark.parametrize("rule", [parse_poly("2*x0"), parse_poly("x0 + x1*x8")],
                          ids=["doubling", "sum"])
 def test_a_table_with_other_values_has_no_diagram_and_reads_the_table(rule):
     m = GridRuleMap(rule, cantor_pairing())

@@ -11,7 +11,7 @@ import orbitkit
 from orbitkit.cycles import detect_brent, detect_hashset
 from orbitkit.dynamics import FiniteComponentMap, SparsePoint, iterate
 from orbitkit.orbit import is_stable_singleton, orbit_closure
-from orbitkit.polymap import Polynomial, variable
+from orbitkit.polymap import Polynomial, parse_poly
 from orbitkit.turing import Configuration, TmError
 
 
@@ -30,13 +30,12 @@ ENTRY_POINTS = [
     ("SparsePoint-coordinate", "coordinate", 0, ValueError, lambda v: SparsePoint({v: 1})),
     ("SparsePoint-value", "value", None, ValueError, lambda v: SparsePoint({0: v})),
     ("FiniteComponentMap-coordinate", "component coordinate", 0, ValueError,
-     lambda v: FiniteComponentMap({v: variable(0)})),
+     lambda v: FiniteComponentMap({v: parse_poly("x0")})),
     ("iterate-n", "iteration count", 0, ValueError, lambda v: iterate(IDENTITY, SparsePoint(), v)),
     ("Polynomial-coefficient", "coefficient", None, ValueError, lambda v: Polynomial([((), v)])),
     ("Polynomial-variable", "variable index", 0, ValueError,
      lambda v: Polynomial([(((v, 1),), 1)])),
     ("Polynomial-exponent", "exponent", 0, ValueError, lambda v: Polynomial([(((0, v),), 1)])),
-    ("Polynomial-pow", "polynomial exponent", 0, ValueError, lambda v: variable(0) ** v),
     ("detect_hashset-budget", "budget", 0, ValueError, lambda v: detect_hashset(shift, 0, v)),
     ("detect_brent-budget", "budget", 0, ValueError, lambda v: detect_brent(shift, 0, v)),
     ("is_stable_singleton-budget", "budget", 1, ValueError,

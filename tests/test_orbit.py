@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit import cycles, life, orbit
+from orbitkit.cli import parse_component_map
 from orbitkit.dynamics import FiniteComponentMap, GridRuleMap, SparsePoint, _key_walk
 from orbitkit.lifepoly import build_gol_map, cantor_pairing, encode, quadrant_safe
 from orbitkit.orbit import (
@@ -16,7 +17,7 @@ from orbitkit.orbit import (
     orbit_closure,
     report_line,
 )
-from orbitkit.polymap import constant, variable
+from orbitkit.polymap import constant, parse_poly
 
 from helpers import (
     BLINKER,
@@ -41,7 +42,7 @@ def test_identity_map_fixed_point():
 
 
 def test_increment_map_is_unknown():
-    f = FiniteComponentMap({0: variable(0) + 1})
+    f = FiniteComponentMap({0: parse_poly("x0 + 1")})
     verdict = is_stable_singleton(f, SparsePoint(), 10000)
     assert verdict == Unknown(points_explored=10001, budget_hit="budget")
 
@@ -58,8 +59,8 @@ def test_closure_gol_block_still_life():
 
 
 def test_closure_two_generators_sign_flip():
-    flip = FiniteComponentMap({0: -variable(0)})
-    keep = FiniteComponentMap({0: variable(0)})
+    flip = FiniteComponentMap({0: parse_poly("-x0")})
+    keep = FiniteComponentMap({0: parse_poly("x0")})
     verdict = orbit_closure([flip, keep], SparsePoint({0: 5}), 100, 100)
     assert verdict == Stable(orbit_size=2)
     orbit_set = enumerate_orbit([flip, keep], SparsePoint({0: 5}), 100, 100)
@@ -73,7 +74,7 @@ def test_closure_rejects_empty_generators_and_bad_limits():
 
 
 def test_closure_limits_fire_honestly():
-    inc = FiniteComponentMap({0: variable(0) + 1})
+    inc = FiniteComponentMap({0: parse_poly("x0 + 1")})
     assert orbit_closure([inc], SparsePoint(), 5, 100) == Unknown(
         points_explored=5, budget_hit="max_points"
     )
@@ -86,7 +87,8 @@ def test_closure_limits_fire_honestly():
 # until a constant sets them, so moves delete coordinates as well as move them.
 COORDS = range(8)
 components = st.one_of(
-    st.builds(lambda c, j: c * variable(j), st.sampled_from((1, -1, 2)), st.sampled_from(COORDS)),
+    st.builds(lambda c, j: parse_poly(f"{c}*x{j}"), st.sampled_from((1, -1, 2)),
+              st.sampled_from(COORDS)),
     st.sampled_from((1, -2, 3)).map(constant),
     st.just(constant(0)),
 )
@@ -94,8 +96,7 @@ component_maps = st.dictionaries(
     st.sampled_from(COORDS), components, min_size=1, max_size=4).map(FiniteComponentMap)
 # linear rules keep values small: the identity, a sign flip, shifts toward the
 # origin (cells fall off the quadrant), their sum, and a shift away from it
-GRID_RULES = (variable(0), -variable(0), variable(5), variable(7),
-              variable(5) + variable(7), variable(4))
+GRID_RULES = tuple(map(parse_poly, ("x0", "-x0", "x5", "x7", "x5 + x7", "x4")))
 grid_maps = st.sampled_from(GRID_RULES).map(lambda rule: GridRuleMap(rule, cantor_pairing()))
 generator_lists = st.tuples(st.lists(component_maps, min_size=1, max_size=3),
                             st.lists(grid_maps, max_size=1)).flatmap(
@@ -124,7 +125,7 @@ def test_closure_matches_the_point_storing_reference(gens, x, max_points, max_de
 
 # moves only: scaled reads of any coordinate (6 and 7 are absent from the points,
 # so such a read deletes its coordinate), sign flips c: -1*x_c, and a swap
-move_components = st.builds(lambda c, j: c * variable(j),
+move_components = st.builds(lambda c, j: parse_poly(f"{c}*x{j}"),
                             st.sampled_from((1, -1, 2, 3)), st.sampled_from(COORDS))
 
 
@@ -132,10 +133,10 @@ move_components = st.builds(lambda c, j: c * variable(j),
 def move_maps(draw):
     table = draw(st.dictionaries(st.sampled_from(COORDS), move_components, max_size=3))
     for coord in draw(st.lists(st.sampled_from(COORDS), max_size=2)):
-        table[coord] = -variable(coord)
+        table[coord] = parse_poly(f"-x{coord}")
     if draw(st.booleans()):
         a, b = draw(st.lists(st.sampled_from(COORDS), min_size=2, max_size=2, unique=True))
-        table[a], table[b] = variable(b), variable(a)
+        table[a], table[b] = parse_poly(f"x{b}"), parse_poly(f"x{a}")
     return FiniteComponentMap(table)
 
 
@@ -177,19 +178,20 @@ def test_key_mover_matches_apply(g, x):
 
 
 def test_key_mover_on_empty_and_one_coordinate_keys():
-    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
+    swap = parse_component_map("0: x1\n1: x0")
     # walks from fewer than two coordinates key points as tuples and apply
     start, [step], point = _key_walk([swap], SparsePoint())
     assert start == step(start) == ((),) and point(start) == SparsePoint()
     start, [step], point = _key_walk([swap], SparsePoint({0: 5}))
     assert start == ((0,), 5) and step(start) == ((1,), 5) and step(((1,), 5)) == start
-    start, [step], _ = _key_walk([FiniteComponentMap({0: -variable(0)})], SparsePoint({0: 5}))
+    start, [step], _ = _key_walk([FiniteComponentMap({0: parse_poly("-x0")})], SparsePoint({0: 5}))
     image = step(start)
     # an unchanged layout is handed out as the source's own object
     assert image == ((0,), -5) and image[0] is start[0]
-    start, [step], _ = _key_walk([FiniteComponentMap({0: variable(6)})], SparsePoint({0: 5}))
+    start, [step], _ = _key_walk([FiniteComponentMap({0: parse_poly("x6")})], SparsePoint({0: 5}))
     assert step(start) == ((),)
-    start, [step], _ = _key_walk([FiniteComponentMap({0: -3 * variable(2)})], SparsePoint({2: 4}))
+    scale = FiniteComponentMap({0: parse_poly("-3*x2")})
+    start, [step], _ = _key_walk([scale], SparsePoint({2: 4}))
     assert step(start) == ((0, 2), -12, 4)
     # from two coordinates a swap steps a code, one byte 2*k + sign per slot
     start, [step], point = _key_walk([swap], SparsePoint({0: 5, 1: 7}))
@@ -200,7 +202,7 @@ def test_key_mover_on_empty_and_one_coordinate_keys():
 def test_a_general_component_has_no_key_mover(monkeypatch):
     x = SparsePoint({0: 1, 2: 3})
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
-    for g, image in ((FiniteComponentMap({0: variable(0) + 1, 1: variable(0)}), {0: 2, 1: 1, 2: 3}),
+    for g, image in ((parse_component_map("0: x0 + 1\n1: x0"), {0: 2, 1: 1, 2: 3}),
                      (FiniteComponentMap({0: constant(0)}), {2: 3})):
         start, [step], _ = _key_walk([g], x)
         assert start == x._key()
@@ -210,13 +212,12 @@ def test_a_general_component_has_no_key_mover(monkeypatch):
 
 # scaled moves, and unit moves that change the start's layout {0, 2}: from 0 to
 # a coordinate outside it, from outside it to 2, and a swap with one side outside
-APPLIED_MOVES = ({0: 2 * variable(0)}, {2: -3 * variable(0), 0: -variable(2)},
-                 {1: -variable(0)}, {2: variable(3)}, {0: variable(1), 1: variable(0)})
+APPLIED_MOVES = ({0: "2*x0"}, {2: "-3*x0", 0: "-x2"}, {1: "-x0"}, {2: "x3"}, {0: "x1", 1: "x0"})
 
 
 @pytest.mark.parametrize("components", APPLIED_MOVES)
 def test_scaled_and_layout_changing_moves_step_through_apply(monkeypatch, components):
-    g = FiniteComponentMap(components)
+    g = FiniteComponentMap({coord: parse_poly(text) for coord, text in components.items()})
     x = SparsePoint({0: 5, 2: 7})
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
     # one apply per step: as many as the point-storing references make
@@ -231,7 +232,7 @@ def test_scaled_and_layout_changing_moves_step_through_apply(monkeypatch, compon
     assert len(calls) == 2 * applies > 0
     check_against_reference([g], x, 30, 6)
     # mixed with a sign flip, which then takes apply too
-    check_against_reference([g, FiniteComponentMap({2: -variable(2)})], x, 30, 6)
+    check_against_reference([g, FiniteComponentMap({2: parse_poly("-x2")})], x, 30, 6)
 
 
 def hyperoctahedral(n, base=0):
@@ -239,9 +240,9 @@ def hyperoctahedral(n, base=0):
     base + n + 2 on coordinates 0 to n + 1, generated by a swap, an n-cycle and
     a sign flip.  The action is free, so the orbit has 2^n * n! points."""
     x = SparsePoint({c: base + c + 1 for c in range(n + 2)})
-    swap = FiniteComponentMap({0: variable(1), 1: variable(0)})
-    cycle = FiniteComponentMap({i: variable((i + 1) % n) for i in range(n)})
-    flip = FiniteComponentMap({0: -variable(0)})
+    swap = parse_component_map("0: x1\n1: x0")
+    cycle = FiniteComponentMap({i: parse_poly(f"x{(i + 1) % n}") for i in range(n)})
+    flip = FiniteComponentMap({0: parse_poly("-x0")})
     return [swap, cycle, flip], x
 
 
@@ -249,7 +250,7 @@ def test_a_mixed_generator_set_applies_every_generator(monkeypatch):
     # a swap of coordinate 6 with the absent 7 moves 6 out of the start's layout
     # and back, so the B_5 generators beside it take apply too: 7,680 points
     gens, x = hyperoctahedral(5)
-    gens.append(FiniteComponentMap({6: variable(7), 7: variable(6)}))
+    gens.append(parse_component_map("6: x7\n7: x6"))
     assert _key_walk(gens, x)[0] == x._key()
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
     assert orbit_closure(gens, x, 100_000, 10_000) == Stable(7680)
@@ -259,7 +260,7 @@ def test_a_mixed_generator_set_applies_every_generator(monkeypatch):
 def test_sign_flips_hand_out_the_start_values():
     v, w = 2**100 + 1, 2**200 + 1
     x = SparsePoint({0: v, 1: -v, 2: v, 3: w})
-    flip = FiniteComponentMap({0: -variable(0), 1: -variable(1), 3: -variable(3)})
+    flip = parse_component_map("0: -x0\n1: -x1\n3: -x3")
     start, [step], point = _key_walk([flip], x)
     # v and -v are one magnitude, so a repeated v and a -v share its two codes
     assert start == bytes([0, 1, 0, 2])
@@ -286,7 +287,7 @@ def signed_points(draw):
 
 
 # sign flips and swaps mixed with 2*x_j and -3*x_j moves
-flip_components = st.builds(lambda c, j: c * variable(j),
+flip_components = st.builds(lambda c, j: parse_poly(f"{c}*x{j}"),
                             st.sampled_from((1, -1, -1, 2, -3)), st.sampled_from(COORDS))
 flip_maps = st.dictionaries(st.sampled_from(COORDS), flip_components, min_size=1,
                             max_size=3).map(FiniteComponentMap)
@@ -336,7 +337,7 @@ def signed_permutation_walks(draw):
         for block in (inside, outside):
             moved = draw(st.lists(st.sampled_from(block), unique=True, max_size=4)) if block else []
             for c, j in zip(moved, moved[1:] + moved[:1]):
-                table[c] = draw(st.sampled_from((1, -1))) * variable(j)
+                table[c] = parse_poly(f"{draw(st.sampled_from((1, -1)))}*x{j}")
         gens.append(FiniteComponentMap(table))
     return gens, x
 
@@ -446,8 +447,8 @@ def test_a_general_component_is_applied_once_per_frontier_point(monkeypatch):
     # depth limit of 4 expands the start and the points of levels 1 to 3; the
     # flip beside a general map applies too, one apply per generator and point
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
-    flip = FiniteComponentMap({1: -variable(1)})
-    grow = FiniteComponentMap({0: variable(0) + variable(1) ** 2})
+    flip = FiniteComponentMap({1: parse_poly("-x1")})
+    grow = FiniteComponentMap({0: parse_poly("x0 + x1^2")})
     x = SparsePoint({0: 1, 1: 2})
     expected = reference_closure([flip, grow], x, 100, 4)[0]
     assert expected == Unknown(points_explored=9, budget_hit="max_depth")
