@@ -288,8 +288,14 @@ def test_tm_run_prints_its_trace_as_it_is_made(tmp_path, monkeypatch):
     assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_digest_line_is_the_sha256_of_the_raw_bytes(source, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(("source", "builtin"),
+                         [("file", True), ("stdin", True), ("file", False), ("stdin", False)],
+                         ids=["file", "stdin", "file-hashlib-fallback", "stdin-hashlib-fallback"])
+def test_digest_line_is_the_sha256_of_the_raw_bytes(source, builtin, tmp_path, monkeypatch,
+                                                     capsys):
+    if not builtin:  # as on a build configured without the built-in hashes
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
     reports = []
     for raw in (b"12:1\r\n17:1\r\n23:1\r\n", b"12:1\n17:1\n23:1\n"):
         write_inputs({"p.pt": raw, "-": raw}, tmp_path, monkeypatch)
@@ -452,24 +458,26 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(orbitkit.__file__).parents[1])}
     report = ("import sys; from orbitkit import cli; code = cli.main(sys.argv[1:]); "
               "print(*sorted(m for m in sys.modules if m.startswith('orbitkit.')), "
-              "'dataclasses' in sys.modules, 'hashlib' in sys.modules); sys.exit(code)")
-    # hashlib loads OpenSSL; only a command that reads a file needs it, for its sha256 line
-    for args, modules, reads_a_file in (
-        (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"], True),
+              "'dataclasses' in sys.modules, 'hashlib' in sys.modules, "
+              "'_hashlib' in sys.modules); sys.exit(code)")
+    # hashlib and _hashlib load OpenSSL; no command needs them, not even for the sha256
+    # line of a command that reads a file
+    for args, modules in (
+        (["tm", "periodicity", "m.tm", "--budget", "50"], ["cycles", "turing"]),
         (["orbit", "check", "--point", "p.pt", "--map", "flip.map"],
-         ["cycles", "dynamics", "orbit", "polymap"], True),
-        (["poly-rule"], ["dynamics", "lifepoly", "polymap"], False),
-        (["life", "run", "b.rle"], ["life"], True),
-        (["verify", "--trials", "2"], ["dynamics", "life", "lifepoly", "polymap"], False),
+         ["cycles", "dynamics", "orbit", "polymap"]),
+        (["poly-rule"], ["dynamics", "lifepoly", "polymap"]),
+        (["life", "run", "b.rle"], ["life"]),
+        (["verify", "--trials", "2"], ["dynamics", "life", "lifepoly", "polymap"]),
         (["orbit", "check", "--encode", "b.rle", "--translate", "2", "2", "--map", "gol"],
-         ["cycles", "dynamics", "life", "lifepoly", "orbit", "polymap"], True),
+         ["cycles", "dynamics", "life", "lifepoly", "orbit", "polymap"]),
     ):
         run = subprocess.run([sys.executable, "-c", report, *args], cwd=tmp_path, env=env,
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         loaded = run.stdout.splitlines()[-1].split()
-        assert loaded[:-2] == sorted(f"orbitkit.{m}" for m in ["cli", *modules])
-        assert loaded[-2:] == ["False", str(reads_a_file)]
+        assert loaded[:-3] == sorted(f"orbitkit.{m}" for m in ["cli", *modules])
+        assert loaded[-3:] == ["False", "False", "False"]
 
 
 def test_no_module_imports_dataclasses():
