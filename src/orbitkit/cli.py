@@ -13,6 +13,9 @@ Each command imports only the modules it uses: a ``tm`` run loads
 ``lifepoly`` or ``orbit``.
 
 Reports are ``key=value`` lines on stdout, one logical result per line.
+Every report line is built in this module, the ``verdict=`` lines too:
+``tm periodicity`` formats the records of ``cycles`` and ``orbit check``
+those of ``orbit``.
 Stdout is byte-deterministic for fixed inputs and seed; the wall-time
 line goes to stderr.  ``verify`` splits its trials across the CPUs the
 process may run on, one forked worker per CPU past the first, and its
@@ -225,6 +228,14 @@ def _tape_str(config, m) -> str:
     return ",".join(row)
 
 
+def _cycle_verdict_line(verdict: orbitkit.cycles.CycleVerdict) -> str:
+    if isinstance(verdict, orbitkit.cycles.Periodic):
+        return f"verdict=periodic preperiod={verdict.preperiod} period={verdict.period}"
+    if isinstance(verdict, orbitkit.cycles.Terminated):
+        return f"verdict=terminated steps={verdict.steps}"
+    return f"verdict=exhausted budget={verdict.budget}"
+
+
 def cmd_tm(args) -> tuple:
     from . import cycles, turing
 
@@ -253,8 +264,17 @@ def cmd_tm(args) -> tuple:
         verdict = cycles.Periodic(verdict.steps, 1)
     flag = "true" if args.halt_as_fixed_point else "false"
     lines.append(f"algorithm={args.algorithm} budget={args.budget} halt_as_fixed_point={flag}")
-    lines.append(cycles.report_line(verdict))
+    lines.append(_cycle_verdict_line(verdict))
     return 0, lines
+
+
+def _stability_verdict_line(verdict: orbitkit.orbit.StabilityVerdict) -> str:
+    if not isinstance(verdict, orbitkit.orbit.Stable):
+        return f"verdict=unknown points={verdict.points_explored} limit={verdict.budget_hit}"
+    if verdict.witness is None:
+        return f"verdict=stable orbit_size={verdict.orbit_size}"
+    preperiod, period = verdict.witness
+    return f"verdict=stable orbit_size={verdict.orbit_size} preperiod={preperiod} period={period}"
 
 
 def cmd_orbit(args) -> tuple:
@@ -296,7 +316,7 @@ def cmd_orbit(args) -> tuple:
     else:
         lines.append(f"max_points={args.max_points} max_depth={args.max_depth}")
         verdict = orbit.orbit_closure(maps, point, args.max_points, args.max_depth)
-    lines.append(orbit.report_line(verdict))
+    lines.append(_stability_verdict_line(verdict))
     return 0, lines
 
 
@@ -442,7 +462,7 @@ def _build_parser() -> _Parser:
     vf.add_argument("--trials", type=_at_least(0), default=1000)
     vf.add_argument("--size", type=_soup_side, default=16)
     vf.add_argument("--density", type=_unit_interval, default=0.3)
-    vf.add_argument("--seed", type=_integer, default=42)
+    vf.add_argument("--seed", type=_at_least(0), default=42)
     vf.add_argument("--corrupt", action="store_true",
                     help="negative control: run with a deliberately broken rule")
     vf.set_defaults(func=cmd_verify, command="verify")

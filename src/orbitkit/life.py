@@ -131,6 +131,10 @@ def seeded_soups(seed: int, start: int, stop: int, size: int, density: float,
     stream is the same soups whichever share comes first: ``random()``
     reads two 32-bit words of the generator and ``getrandbits(64 * m)``
     reads ``2 * m`` of them, so one call skips one soup's draws.
+
+    ``random.Random`` seeds an int by its absolute value, so ``seed`` and
+    ``-seed`` give the same stream; ``verify --seed`` takes a natural
+    number for this reason.
     """
     import random
 

@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_orbit",
     "is_stable_singleton",
     "orbit_closure",
-    "report_line",
 ]
 
 
@@ -151,12 +150,8 @@ def enumerate_orbit(
 
 
 def report_line(verdict: StabilityVerdict) -> str:
-    if isinstance(verdict, Stable):
-        if verdict.witness is not None:
-            preperiod, period = verdict.witness
-            return (f"verdict=stable orbit_size={verdict.orbit_size} "
-                    f"preperiod={preperiod} period={period}")
-        return f"verdict=stable orbit_size={verdict.orbit_size}"
-    if isinstance(verdict, Unknown):
-        return f"verdict=unknown points={verdict.points_explored} limit={verdict.budget_hit}"
-    raise TypeError(f"not a stability verdict: {verdict!r}")
+    """The verdict line that ``orbit check`` prints, built by :mod:`orbitkit.cli`;
+    kept only while ``perfbench/tests`` checks the workload oracle through it."""
+    from .cli import _stability_verdict_line
+
+    return _stability_verdict_line(verdict)

@@ -10,7 +10,6 @@ from orbitkit.cycles import (
     Terminated,
     detect_brent,
     detect_hashset,
-    report_line,
 )
 from orbitkit.turing import initial_config, parse_tm, step_fn
 
@@ -160,11 +159,3 @@ def test_verdict_validation():
         Periodic(0, 0)
     with pytest.raises(ValueError):
         Periodic(-1, 2)
-
-
-def test_report_lines_exact():
-    assert report_line(Periodic(3, 4)) == "verdict=periodic preperiod=3 period=4"
-    assert report_line(Terminated(17)) == "verdict=terminated steps=17"
-    assert report_line(Exhausted(100000)) == "verdict=exhausted budget=100000"
-    with pytest.raises(TypeError):
-        report_line("periodic")

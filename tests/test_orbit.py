@@ -15,7 +15,6 @@ from orbitkit.orbit import (
     enumerate_orbit,
     is_stable_singleton,
     orbit_closure,
-    report_line,
 )
 from orbitkit.polymap import constant, parse_poly
 
@@ -173,11 +172,11 @@ def check_steps(gens, x):
 
 
 @given(move_maps(), edge_points)
-def test_key_mover_matches_apply(g, x):
+def test_each_key_step_matches_apply(g, x):
     check_steps([g], x)
 
 
-def test_key_mover_on_empty_and_one_coordinate_keys():
+def test_key_steps_on_empty_one_coordinate_and_code_keys():
     swap = parse_component_map("0: x1\n1: x0")
     # walks from fewer than two coordinates key points as tuples and apply
     start, [step], point = _key_walk([swap], SparsePoint())
@@ -199,7 +198,7 @@ def test_key_mover_on_empty_and_one_coordinate_keys():
     assert point(step(start)) == SparsePoint({0: 7, 1: 5}) and step(step(start)) == start
 
 
-def test_a_general_component_has_no_key_mover(monkeypatch):
+def test_a_general_component_steps_keys_through_apply(monkeypatch):
     x = SparsePoint({0: 1, 2: 3})
     calls = count_calls(monkeypatch, FiniteComponentMap, "apply")
     for g, image in ((parse_component_map("0: x0 + 1\n1: x0"), {0: 2, 1: 1, 2: 3}),
@@ -526,20 +525,6 @@ def test_reduction_fidelity_against_life_recurrence():
             expected = (life_verdict.preperiod, life_verdict.period)
             assert poly_verdict.witness == expected
             assert poly_verdict.orbit_size == sum(expected)
-
-
-def test_report_lines_exact():
-    assert (
-        report_line(Stable(orbit_size=2, witness=(0, 2)))
-        == "verdict=stable orbit_size=2 preperiod=0 period=2"
-    )
-    assert report_line(Stable(orbit_size=3)) == "verdict=stable orbit_size=3"
-    assert (
-        report_line(Unknown(points_explored=100000, budget_hit="max_points"))
-        == "verdict=unknown points=100000 limit=max_points"
-    )
-    with pytest.raises(TypeError):
-        report_line(None)
 
 
 def test_stable_validation():
